@@ -1,23 +1,13 @@
 package opt
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
+
+	"refocus/internal/job"
 )
-
-// checkpointVersion guards the on-disk schema; a loader refuses a file
-// written by an incompatible future format instead of misreading it.
-const checkpointVersion = 1
-
-// tmpSeq distinguishes concurrent temp files within one process (the
-// DiskStore idiom: pid + sequence, then an atomic rename).
-var tmpSeq atomic.Int64
 
 // CandidateResult is one evaluated design point — the checkpoint's unit
 // of durability and the front's raw material. Every field derives
@@ -56,11 +46,15 @@ type CandidateResult struct {
 
 // Checkpoint is the durable search state: the defaulted spec, every
 // evaluated candidate, and — once the search finishes — the final
-// front. It is written atomically (temp file + rename) after every
-// evaluated candidate, so a SIGKILL at any instant leaves either the
-// previous checkpoint or the next one, never a torn file.
+// front. On disk it is a job journal (package job): a header line, one
+// appended line per evaluated candidate, and a last line carrying the
+// front, whose presence marks the search done. A torn final line (an
+// append a SIGKILL interrupted) is dropped on load; any other damage is
+// refused. Marshaled whole, a Checkpoint is the version-1 snapshot
+// format, which LoadCheckpoint still reads and a resume migrates.
 type Checkpoint struct {
-	// Version is the schema version (checkpointVersion).
+	// Version is the schema version of the file read (job.Version, or 1
+	// for a snapshot awaiting migration).
 	Version int
 	// ID is the search identity the file belongs to; a loader rejects a
 	// mismatch rather than resuming someone else's candidates.
@@ -77,6 +71,12 @@ type Checkpoint struct {
 	Front []FrontPoint
 }
 
+// searchEnd is a search journal's final line.
+type searchEnd struct{ Front []FrontPoint }
+
+// candidateCell addresses a record in the journal.
+func candidateCell(c CandidateResult) [2]int { return [2]int{c.Gen, c.Index} }
+
 // CheckpointPath names a search's checkpoint file inside dir.
 func CheckpointPath(dir, id string) string {
 	return filepath.Join(dir, "search-"+id+".json")
@@ -90,39 +90,24 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var cp Checkpoint
-	if err := dec.Decode(&cp); err != nil {
-		return nil, fmt.Errorf("opt: parsing checkpoint %s: %w", path, err)
+	cp, err := parseCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("opt: checkpoint %s: %w", path, err)
 	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("opt: checkpoint %s has version %d, want %d", path, cp.Version, checkpointVersion)
-	}
-	if cp.ID == "" {
-		return nil, fmt.Errorf("opt: checkpoint %s carries no search ID", path)
-	}
-	return &cp, nil
+	return cp, nil
 }
 
-// writeCheckpoint persists cp atomically into its path: marshal, write a
-// uniquely named temp file in the same directory, rename over the
-// destination. Readers never observe a partial file, and a crash leaves
-// at most a stale temp file behind.
-func writeCheckpoint(path string, cp *Checkpoint) error {
-	data, err := json.MarshalIndent(cp, "", " ")
+// parseCheckpoint decodes and validates checkpoint file contents.
+func parseCheckpoint(data []byte) (*Checkpoint, error) {
+	l, err := job.Parse[Spec, CandidateResult, searchEnd](data, candidateCell)
 	if err != nil {
-		return fmt.Errorf("opt: encoding checkpoint: %w", err)
+		return nil, err
 	}
-	tmp := fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), tmpSeq.Add(1))
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("opt: writing checkpoint: %w", err)
+	cp := &Checkpoint{Version: l.Version, ID: l.ID, Spec: l.Spec, Done: l.Recs}
+	if l.End != nil {
+		cp.Front = l.End.Front
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("opt: committing checkpoint: %w", err)
-	}
-	return nil
+	return cp, nil
 }
 
 // sortResults orders candidates by (Gen, Index) — the canonical
@@ -135,6 +120,3 @@ func sortResults(rs []CandidateResult) {
 		return rs[i].Index < rs[j].Index
 	})
 }
-
-// errWrongSearch reports a checkpoint/search identity mismatch.
-var errWrongSearch = errors.New("opt: checkpoint belongs to a different search")

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"sync"
 
 	"refocus/internal/arch"
 	"refocus/internal/faults"
+	"refocus/internal/job"
 	"refocus/internal/nn"
 )
 
@@ -244,26 +243,18 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	total := spec.Generations * spec.Population
 
 	done := make(map[cell]CandidateResult, total)
-	path := ""
+	var jr *job.Journal[CandidateResult, searchEnd]
 	if r.Dir != "" {
-		if err := os.MkdirAll(r.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("opt: checkpoint dir: %w", err)
-		}
-		path = CheckpointPath(r.Dir, r.ID)
-		cp, err := LoadCheckpoint(path)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// First run: nothing to resume.
-		case err != nil:
+		var kept []CandidateResult
+		jr, kept, err = job.Open[Spec, CandidateResult, searchEnd](CheckpointPath(r.Dir, r.ID), r.ID, spec, candidateCell, func(c CandidateResult) bool {
+			return c.Gen >= 0 && c.Gen < spec.Generations && c.Index >= 0 && c.Index < spec.Population
+		})
+		if err != nil {
 			return nil, err
-		case cp.ID != r.ID:
-			return nil, fmt.Errorf("%w: file %s holds %s, want %s", errWrongSearch, path, cp.ID, r.ID)
-		default:
-			for _, c := range cp.Done {
-				if c.Gen >= 0 && c.Gen < spec.Generations && c.Index >= 0 && c.Index < spec.Population {
-					done[cell{c.Gen, c.Index}] = c
-				}
-			}
+		}
+		defer jr.Close()
+		for _, c := range kept {
+			done[cell{c.Gen, c.Index}] = c
 		}
 	}
 	resumed := len(done)
@@ -288,7 +279,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		if len(pending) == 0 {
 			continue
 		}
-		if err := r.runGeneration(ctx, g, nets, gen, cands, pending, done, path, total); err != nil {
+		if err := r.runGeneration(ctx, g, nets, gen, cands, pending, done, jr, total); err != nil {
 			return nil, err
 		}
 		executed += len(pending)
@@ -310,10 +301,8 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			res.Infeasible++
 		}
 	}
-	if path != "" {
-		if err := writeCheckpoint(path, r.checkpoint(done, res.Front)); err != nil {
-			return nil, err
-		}
+	if err := jr.Finish(searchEnd{Front: res.Front}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -349,87 +338,20 @@ func (r *Runner) proposals(strat Strategy, g *grid, done map[cell]CandidateResul
 }
 
 // runGeneration evaluates one generation's pending cells with bounded
-// workers, checkpointing after every candidate.
-func (r *Runner) runGeneration(ctx context.Context, g *grid, nets []nn.Network, gen int, cands []Candidate, pending []int, done map[cell]CandidateResult, path string, total int) error {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-	}
-	workers := r.Parallelism
-	if workers < 1 {
-		workers = 2
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				c, err := r.runPoint(cctx, g, nets, gen, idx, cands[idx])
-				var u Update
-				mu.Lock()
-				if err != nil {
-					fail(err)
-					mu.Unlock()
-					continue
-				}
-				done[cell{gen, idx}] = c
-				u = Update{Type: "point", Completed: len(done), Total: total, Point: &c}
-				if path != "" {
-					if werr := writeCheckpoint(path, r.checkpoint(done, nil)); werr != nil {
-						fail(werr)
-					}
-				}
-				mu.Unlock()
-				if h := r.Hooks.PointExecuted; h != nil {
-					h(c)
-				}
-				r.update(u)
+// workers, appending every candidate to the journal.
+func (r *Runner) runGeneration(ctx context.Context, g *grid, nets []nn.Network, gen int, cands []Candidate, pending []int, done map[cell]CandidateResult, jr *job.Journal[CandidateResult, searchEnd], total int) error {
+	return job.Fan(ctx, r.Parallelism, pending, func(ctx context.Context, idx int) (CandidateResult, error) {
+		return r.runPoint(ctx, g, nets, gen, idx, cands[idx])
+	}, func(idx int, c CandidateResult) (func(), error) {
+		done[cell{gen, idx}] = c
+		u := Update{Type: "point", Completed: len(done), Total: total, Point: &c}
+		return func() {
+			if h := r.Hooks.PointExecuted; h != nil {
+				h(c)
 			}
-		}()
-	}
-feed:
-	for _, idx := range pending {
-		select {
-		case next <- idx:
-		case <-cctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
-}
-
-// checkpoint assembles the durable state from the evaluated-cell map.
-func (r *Runner) checkpoint(done map[cell]CandidateResult, front []FrontPoint) *Checkpoint {
-	cp := &Checkpoint{
-		Version: checkpointVersion,
-		ID:      r.ID,
-		Spec:    r.Spec,
-		Done:    make([]CandidateResult, 0, len(done)),
-		Front:   front,
-	}
-	for _, c := range done {
-		cp.Done = append(cp.Done, c)
-	}
-	sortResults(cp.Done)
-	return cp
+			r.update(u)
+		}, jr.Append(c)
+	})
 }
 
 // runPoint evaluates one (generation, index) cell: materialize the

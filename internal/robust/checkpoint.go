@@ -1,23 +1,12 @@
 package robust
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync/atomic"
+
+	"refocus/internal/job"
 )
-
-// checkpointVersion guards the on-disk schema; a loader refuses a file
-// written by an incompatible future format instead of misreading it.
-const checkpointVersion = 1
-
-// tmpSeq distinguishes concurrent temp files within one process (the
-// DiskStore idiom: pid + sequence, then an atomic rename).
-var tmpSeq atomic.Int64
 
 // TrialResult is one completed Monte Carlo trial — the checkpoint's unit
 // of durability and the frontier's raw material. Every field derives
@@ -53,11 +42,16 @@ type TrialResult struct {
 
 // Checkpoint is the durable campaign state: the defaulted spec, every
 // completed trial, and — once the campaign finishes — the final
-// frontier. It is written atomically (temp file + rename) after every
-// completed trial, so a SIGKILL at any instant leaves either the
-// previous checkpoint or the next one, never a torn file.
+// frontier. On disk it is a job journal (package job): a header line,
+// one appended line per completed trial, and a last line carrying the
+// frontier and the two baselines, whose presence marks the campaign
+// done. A torn final line (an append a SIGKILL interrupted) is dropped
+// on load; any other damage is refused. Marshaled whole, a Checkpoint is
+// the version-1 snapshot format, which LoadCheckpoint still reads and a
+// resume migrates.
 type Checkpoint struct {
-	// Version is the schema version (checkpointVersion).
+	// Version is the schema version of the file read (job.Version, or 1
+	// for a snapshot awaiting migration).
 	Version int
 	// ID is the campaign identity the file belongs to; a loader rejects
 	// a mismatch rather than resuming someone else's trials.
@@ -76,6 +70,16 @@ type Checkpoint struct {
 	Frontier []FrontierPoint `json:",omitempty"`
 }
 
+// campaignEnd is a campaign journal's final line.
+type campaignEnd struct {
+	NominalFPS    float64
+	CleanAccuracy float64
+	Frontier      []FrontierPoint
+}
+
+// trialCell addresses a record in the journal.
+func trialCell(t TrialResult) [2]int { return [2]int{t.Severity, t.Trial} }
+
 // CheckpointPath names a campaign's checkpoint file inside dir.
 func CheckpointPath(dir, id string) string {
 	return filepath.Join(dir, "campaign-"+id+".json")
@@ -89,51 +93,22 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var cp Checkpoint
-	if err := dec.Decode(&cp); err != nil {
-		return nil, fmt.Errorf("robust: parsing checkpoint %s: %w", path, err)
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("robust: checkpoint %s has version %d, want %d", path, cp.Version, checkpointVersion)
-	}
-	if cp.ID == "" {
-		return nil, fmt.Errorf("robust: checkpoint %s carries no campaign ID", path)
-	}
-	return &cp, nil
-}
-
-// writeCheckpoint persists cp atomically into its path: marshal, write a
-// uniquely named temp file in the same directory, rename over the
-// destination. Readers never observe a partial file, and a crash leaves
-// at most a stale temp file behind.
-func writeCheckpoint(path string, cp *Checkpoint) error {
-	data, err := json.MarshalIndent(cp, "", " ")
+	cp, err := parseCheckpoint(data)
 	if err != nil {
-		return fmt.Errorf("robust: encoding checkpoint: %w", err)
+		return nil, fmt.Errorf("robust: checkpoint %s: %w", path, err)
 	}
-	tmp := fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), tmpSeq.Add(1))
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("robust: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("robust: committing checkpoint: %w", err)
-	}
-	return nil
+	return cp, nil
 }
 
-// sortResults orders trials by (Severity, Trial) — the canonical
-// checkpoint and frontier order, independent of completion order.
-func sortResults(ts []TrialResult) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Severity != ts[j].Severity {
-			return ts[i].Severity < ts[j].Severity
-		}
-		return ts[i].Trial < ts[j].Trial
-	})
+// parseCheckpoint decodes and validates checkpoint file contents.
+func parseCheckpoint(data []byte) (*Checkpoint, error) {
+	l, err := job.Parse[Spec, TrialResult, campaignEnd](data, trialCell)
+	if err != nil {
+		return nil, err
+	}
+	cp := &Checkpoint{Version: l.Version, ID: l.ID, Spec: l.Spec, Done: l.Recs}
+	if e := l.End; e != nil {
+		cp.NominalFPS, cp.CleanAccuracy, cp.Frontier = e.NominalFPS, e.CleanAccuracy, e.Frontier
+	}
+	return cp, nil
 }
-
-// errWrongCampaign reports a checkpoint/campaign identity mismatch.
-var errWrongCampaign = errors.New("robust: checkpoint belongs to a different campaign")

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"refocus/internal/faults"
+	"refocus/internal/job"
 )
 
 // testSpec is a deliberately tiny campaign: 2 severities × 4 trials with
@@ -257,7 +258,7 @@ func TestCheckpointRejectsWrongCampaign(t *testing.T) {
 	spec := testSpec()
 	dir := t.TempDir()
 	id := mustID(t, spec)
-	other := &Checkpoint{Version: checkpointVersion, ID: "deadbeef", Spec: spec}
+	other := &Checkpoint{Version: job.Version, ID: "deadbeef", Spec: spec}
 	if err := writeCheckpoint(CheckpointPath(dir, id), other); err != nil {
 		t.Fatal(err)
 	}
