@@ -165,10 +165,30 @@ func New(cfg Config) *Server {
 	s.mux.Handle("GET /v1/networks", s.instrument("/v1/networks", s.handleNetworks))
 	s.mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
+	jobs := &JobTier{
+		Name:       "serve",
+		DecodeBody: s.decodeBody,
+		WriteJSON:  s.writeJSON,
+		WriteError: s.writeError,
+		StreamLine: s.metrics.streamLines.Inc,
+		// Job evaluations take the ordinary evaluatePoint path — result
+		// cache, worker-slot admission — with the chaos middleware
+		// bypassed: jobs are internal work, not requests.
+		Evaluate: func(ctx context.Context, req EvaluateRequest, _ string) (EvaluateResponse, error) {
+			return s.evaluatePoint(ctx, req)
+		},
+		Shed: func(err error) (time.Duration, bool) {
+			var ae *apiError
+			if !errors.As(err, &ae) || ae.status != http.StatusTooManyRequests {
+				return 0, false
+			}
+			return max(time.Duration(ae.retryAfter)*time.Second, time.Second), true
+		},
+	}
 	var err error
 	s.robust, err = robust.NewManager(robust.ManagerConfig{
 		Dir:         cfg.CampaignDir,
-		Eval:        s.campaignEval,
+		Eval:        jobs.CampaignEval,
 		Parallelism: cfg.Workers,
 		Hooks: robust.Hooks{
 			CampaignStarted: func() {
@@ -184,15 +204,11 @@ func New(cfg Config) *Server {
 		// Only a checkpoint-directory MkdirAll can fail here; campaigns
 		// lose durability but the service still serves.
 		s.logger.Error("robustness campaign dir unavailable; running without durability", "err", err)
-		s.robust, _ = robust.NewManager(robust.ManagerConfig{Eval: s.campaignEval, Parallelism: cfg.Workers})
+		s.robust, _ = robust.NewManager(robust.ManagerConfig{Eval: jobs.CampaignEval, Parallelism: cfg.Workers})
 	}
-	s.mux.Handle("POST /v1/robustness", s.instrument("/v1/robustness", s.handleRobustnessStart))
-	// The metrics label avoids the path pattern's braces — they collide
-	// with the Prometheus exposition's label syntax.
-	s.mux.Handle("GET /v1/robustness/{id}", s.instrument("/v1/robustness/status", s.handleRobustnessStatus))
 	s.opt, err = opt.NewManager(opt.ManagerConfig{
 		Dir:         cfg.OptimizeDir,
-		Eval:        s.optimizeEval,
+		Eval:        jobs.OptimizeEval,
 		Parallelism: cfg.Workers,
 		Hooks: opt.Hooks{
 			SearchStarted: func() {
@@ -208,10 +224,9 @@ func New(cfg Config) *Server {
 		// Only a checkpoint-directory MkdirAll can fail here; searches
 		// lose durability but the service still serves.
 		s.logger.Error("optimize checkpoint dir unavailable; running without durability", "err", err)
-		s.opt, _ = opt.NewManager(opt.ManagerConfig{Eval: s.optimizeEval, Parallelism: cfg.Workers})
+		s.opt, _ = opt.NewManager(opt.ManagerConfig{Eval: jobs.OptimizeEval, Parallelism: cfg.Workers})
 	}
-	s.mux.Handle("POST /v1/optimize", s.instrument("/v1/optimize", s.handleOptimizeStart))
-	s.mux.Handle("GET /v1/optimize/{id}", s.instrument("/v1/optimize/status", s.handleOptimizeStatus))
+	jobs.Mount(s.mux, s.instrument, s.robust, s.opt)
 	return s
 }
 
