@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,7 +60,9 @@ type Config struct {
 	OptimizeDir string
 	// Client is the template for the per-shard serveclient configuration
 	// (BaseURL is overwritten per shard). The zero value gets defaults
-	// tuned for fast failover: 1 retry, breaker threshold 2.
+	// tuned for fast failover: 1 retry, breaker threshold 2; a nil
+	// HTTPClient gets one connection pool shared by every shard client,
+	// sized from ShardConcurrency (see shardTransport).
 	Client serveclient.Config
 	// Limits are the inline-spec resource limits enforced at the edge —
 	// rejecting an oversized spec here costs no shard round trip. Zero
@@ -126,6 +129,22 @@ type Coordinator struct {
 	logger  *slog.Logger
 	robust  *robust.Manager
 	opt     *opt.Manager
+	// transport is the connection pool every shard client shares; nil
+	// when Config.Client brought its own HTTPClient.
+	transport *http.Transport
+}
+
+// shardTransport returns the connection pool the shard clients share.
+// Its idle pool keeps one connection for every request a shard can have
+// in flight: ShardConcurrency dispatches as primary, plus as many again
+// for every further ring position it may hold as a hedge or failover
+// target. A smaller pool (the default transport keeps 2 per host)
+// closes connections after every burst and redials them on the next.
+func shardTransport(cfg Config) *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = cfg.ShardConcurrency * cfg.Attempts
+	t.MaxIdleConns = t.MaxIdleConnsPerHost * len(cfg.Shards)
+	return t
 }
 
 // New builds a Coordinator and its per-shard clients.
@@ -143,6 +162,10 @@ func New(cfg Config) (*Coordinator, error) {
 		metrics: newClusterMetrics(cfg.Shards),
 		mux:     http.NewServeMux(),
 		logger:  cfg.Logger,
+	}
+	if cfg.Client.HTTPClient == nil {
+		c.transport = shardTransport(cfg)
+		cfg.Client.HTTPClient = &http.Client{Timeout: 30 * time.Second, Transport: c.transport}
 	}
 	for _, s := range cfg.Shards {
 		ccfg := cfg.Client
@@ -208,6 +231,9 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Close() {
 	c.robust.Close()
 	c.opt.Close()
+	if c.transport != nil {
+		c.transport.CloseIdleConnections()
+	}
 }
 
 // Handler returns the coordinator's HTTP handler (all routes).
@@ -264,14 +290,14 @@ func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) 
 	return nil
 }
 
-// dispatch places one evaluate request on the ring and runs it through
-// the hedged client chain: the owning shard first, then ring successors
-// on failure or hedge expiry. The returned shard is the winner's base
-// URL.
-func (c *Coordinator) dispatch(ctx context.Context, req serve.EvaluateRequest) (serve.EvaluateResponse, string, error) {
+// dispatch places one evaluate request on the ring by its design point
+// (serve.RouteKey) and runs it through the hedged client chain: the
+// owning shard first, then ring successors on failure or hedge expiry.
+// It returns the winning shard's response body, undecoded.
+func (c *Coordinator) dispatch(ctx context.Context, req serve.EvaluateRequest) ([]byte, error) {
 	key, err := serve.RouteKey(req, c.cfg.Limits)
 	if err != nil {
-		return serve.EvaluateResponse{}, "", err
+		return nil, err
 	}
 	return c.dispatchKeyed(ctx, req, key)
 }
@@ -280,7 +306,7 @@ func (c *Coordinator) dispatch(ctx context.Context, req serve.EvaluateRequest) (
 // caller — robustness campaigns route each trial by its trial seed, so
 // a fixed trial always lands on the same shard regardless of which
 // process (or incarnation) dispatches it.
-func (c *Coordinator) dispatchKeyed(ctx context.Context, req serve.EvaluateRequest, key string) (serve.EvaluateResponse, string, error) {
+func (c *Coordinator) dispatchKeyed(ctx context.Context, req serve.EvaluateRequest, key string) ([]byte, error) {
 	targets := c.ring.Successors(key, c.cfg.Attempts)
 	primary := targets[0]
 	clients := make([]*serveclient.Client, len(targets))
@@ -296,7 +322,7 @@ func (c *Coordinator) dispatchKeyed(ctx context.Context, req serve.EvaluateReque
 	case <-ctx.Done():
 		span.SetAttr("outcome", "canceled")
 		span.End()
-		return serve.EvaluateResponse{}, "", fmt.Errorf("cluster: waiting for shard slot: %w", ctx.Err())
+		return nil, fmt.Errorf("cluster: waiting for shard slot: %w", ctx.Err())
 	}
 	defer func() { <-sem }()
 
@@ -310,7 +336,7 @@ func (c *Coordinator) dispatchKeyed(ctx context.Context, req serve.EvaluateReque
 		span.End()
 		c.logger.LogAttrs(ctx, slog.LevelWarn, "point failed",
 			slog.String("shard", primary), slog.String("error", err.Error()))
-		return serve.EvaluateResponse{}, "", err
+		return nil, err
 	}
 	if res.Hedged {
 		sm.hedges.Inc()
@@ -325,11 +351,11 @@ func (c *Coordinator) dispatchKeyed(ctx context.Context, req serve.EvaluateReque
 	c.logger.LogAttrs(ctx, slog.LevelDebug, "point served",
 		slog.String("shard", primary), slog.String("winner", winner),
 		slog.Int("attempts", res.Attempts))
-	return res.Resp, winner, nil
+	return res.Body, nil
 }
 
-// handleEvaluate serves POST /v1/evaluate by proxying to the owning
-// shard (with failover).
+// handleEvaluate serves POST /v1/evaluate by relaying the owning shard's
+// (or, after failover, a successor's) response body verbatim.
 func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req serve.EvaluateRequest
 	if err := c.decodeBody(w, r, &req); err != nil {
@@ -338,12 +364,32 @@ func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.SweepTimeout)
 	defer cancel()
-	resp, _, err := c.dispatch(ctx, req)
+	body, err := c.dispatch(ctx, req)
 	if err != nil {
 		c.writeError(w, err)
 		return
 	}
-	c.writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck // a failed write means the client is gone
+}
+
+// pointResult is one dispatched sweep point: the shard's body, or the
+// error that stopped it.
+type pointResult struct {
+	index int
+	body  []byte
+	err   error
+}
+
+// decodeShardBody decodes a relayed /v1/evaluate body, for the two
+// paths that need the report values: the buffered sweep and the job
+// tier.
+func decodeShardBody(body []byte, resp *serve.EvaluateResponse) error {
+	if err := json.Unmarshal(body, resp); err != nil {
+		return fmt.Errorf("cluster: decoding shard response: %w", err)
+	}
+	return nil
 }
 
 // handleSweep serves POST /v1/sweep: points scatter across the ring
@@ -364,42 +410,63 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.SweepTimeout)
 	defer cancel()
 
-	lines := make(chan serve.SweepStreamLine, len(req.Points))
+	results := make(chan pointResult, len(req.Points))
 	for i := range req.Points {
 		go func(i int) {
-			line := serve.SweepStreamLine{Index: i}
-			resp, _, err := c.dispatch(ctx, req.Points[i])
-			if err != nil {
-				line.Error = err.Error()
-			} else {
-				line.EvaluateResponse = resp
-			}
-			lines <- line
+			body, err := c.dispatch(ctx, req.Points[i])
+			results <- pointResult{index: i, body: body, err: err}
 		}(i)
 	}
 
 	if serve.WantsNDJSON(r) {
-		c.streamSweep(w, len(req.Points), lines)
+		c.streamSweep(w, len(req.Points), results)
 		return
 	}
 	resp := serve.SweepResponse{Points: make([]serve.SweepPointResult, len(req.Points))}
 	for range req.Points {
-		line := <-lines
-		resp.Points[line.Index] = line.SweepPointResult
+		res := <-results
+		p := &resp.Points[res.index]
+		if res.err == nil {
+			res.err = decodeShardBody(res.body, &p.EvaluateResponse)
+		}
+		if res.err != nil {
+			*p = serve.SweepPointResult{Error: res.err.Error()}
+		}
 	}
 	c.writeJSON(w, http.StatusOK, resp)
 }
 
 // streamSweep writes the NDJSON lane, one flushed line per completed
-// point.
-func (c *Coordinator) streamSweep(w http.ResponseWriter, n int, lines <-chan serve.SweepStreamLine) {
+// point. A served point's line is the shard's body compacted behind
+// {"Index":i, — exactly the line the shard itself would stream, built
+// without decoding or re-encoding a single float. A failed point's line
+// carries only its Error.
+func (c *Coordinator) streamSweep(w http.ResponseWriter, n int, results <-chan pointResult) {
 	w.Header().Set("Content-Type", serve.NDJSONContentType)
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
+	var line, body bytes.Buffer
 	for i := 0; i < n; i++ {
-		line := <-lines
-		if err := enc.Encode(line); err != nil {
+		res := <-results
+		line.Reset()
+		if res.err == nil {
+			body.Reset()
+			if err := json.Compact(&body, res.body); err != nil || body.Len() < 3 || body.Bytes()[0] != '{' {
+				res.err = fmt.Errorf("cluster: shard answered a body that is not a JSON object: %.64q", res.body)
+			}
+		}
+		if res.err == nil {
+			line.WriteString(`{"Index":`)
+			line.Write(strconv.AppendInt(line.AvailableBuffer(), int64(res.index), 10))
+			line.WriteByte(',')
+			line.Write(body.Bytes()[1:])
+			line.WriteByte('\n')
+		} else {
+			errLine := serve.SweepStreamLine{Index: res.index}
+			errLine.Error = res.err.Error()
+			json.NewEncoder(&line).Encode(errLine) //nolint:errcheck // a bytes.Buffer never fails
+		}
+		if _, err := w.Write(line.Bytes()); err != nil {
 			return
 		}
 		c.metrics.stream.Inc()

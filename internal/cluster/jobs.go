@@ -26,7 +26,11 @@ func (c *Coordinator) jobTier() *serve.JobTier {
 		WriteError: c.writeError,
 		StreamLine: c.metrics.stream.Inc,
 		Evaluate: func(ctx context.Context, req serve.EvaluateRequest, routeKey string) (serve.EvaluateResponse, error) {
-			resp, _, err := c.dispatchKeyed(ctx, req, routeKey)
+			var resp serve.EvaluateResponse
+			body, err := c.dispatchKeyed(ctx, req, routeKey)
+			if err == nil {
+				err = decodeShardBody(body, &resp)
+			}
 			return resp, err
 		},
 		Shed: func(err error) (time.Duration, bool) {

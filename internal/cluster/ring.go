@@ -2,8 +2,9 @@
 // consistent-hash ring placing cache keys on worker shards, and a
 // coordinator that fronts the shards with the same HTTP surface a single
 // refocus-serve exposes. Placement is by serve.RouteKey — the canonical
-// (config, faults, workloads) identity — so every spelling of a design
-// point lands on the shard already holding its results, and repeats
+// (config, faults) design point, the prefix of every cache key a request
+// touches — so every spelling of a design point, whatever networks it
+// evaluates, lands on the shard already holding its results, and repeats
 // across a whole sweep campaign are cluster-wide cache hits. Failure
 // handling composes the serveclient primitives: per-shard circuit
 // breakers make a dead shard fail fast, hedged requests cut tail

@@ -8,7 +8,7 @@ import (
 )
 
 // reportCache is a mutex-guarded LRU of evaluation results keyed by
-// sim.CacheKey (canonical config hash + network hash). Reports are
+// cacheKey (design point key + network hash). Reports are
 // deterministic for a given key — arch.Evaluate is a pure function of
 // (config, network) — so a hit is bit-identical to re-evaluating, and
 // the cache never needs invalidation, only capacity eviction.

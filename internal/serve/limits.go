@@ -5,7 +5,9 @@ import (
 	"net/http"
 
 	"refocus/internal/arch"
+	"refocus/internal/faults"
 	"refocus/internal/nn"
+	"refocus/internal/sim"
 )
 
 // Default resource limits for inline NetworkSpec submissions. Registry
@@ -71,18 +73,20 @@ func (l SpecLimits) check(net nn.Network) error {
 	return nil
 }
 
-// RouteKey returns the canonical routing identity of one evaluate
-// request: the resolved config hash, the fault-set hash when a non-zero
-// fault set rides along, and the hash of every network the request
-// evaluates, joined with "|". Requests that resolve to the same design
-// point, fault set and workloads share a key however they were spelled —
-// the same invariance sim.CacheKey gives a single (config, network)
-// pair. The cluster coordinator places requests on worker shards by this
-// key, so all cache keys of one request land on one shard and repeats
-// land where their results already are. Validation failures come back
-// with the same status tags the evaluate handler would use (400 for bad
-// requests, 422 for specs past lim), letting the coordinator reject bad
-// points at the edge without burning a shard round trip.
+// RouteKey returns the routing identity of one evaluate request: its
+// design point, as pointKey derives it from the resolved config and
+// fault set. Requests that resolve to the same design point share a key
+// however they were spelled, and every cache key a request reads or
+// writes starts with it, so the cluster coordinator, which places
+// requests on worker shards by this key, sends all of a request's cache
+// keys to one shard, and repeats land where their results already are.
+// The workloads are not part of the key: (cfg, "all") and
+// (cfg, "ResNet-50") share a shard. They are still validated, so bad
+// points are rejected at the edge without burning a shard round trip,
+// but never built or hashed: a registry name is only looked up, an
+// inline spec is parsed and checked against lim. Validation failures
+// carry the status tags the evaluate handler uses (400 for bad requests,
+// 422 for specs past lim) and the same messages.
 func RouteKey(req EvaluateRequest, lim SpecLimits) (string, error) {
 	cfg, err := resolveRequestConfig(req)
 	if err != nil {
@@ -92,27 +96,39 @@ func RouteKey(req EvaluateRequest, lim SpecLimits) (string, error) {
 	if err != nil {
 		return "", BadRequest(err)
 	}
-	nets, err := resolveRequestNetworks(req, lim)
+	if _, inline, err := requestSpec(req, lim); err != nil {
+		return "", BadRequest(err)
+	} else if !inline {
+		if err := sim.CheckNetworkName(requestNetworkName(req)); err != nil {
+			return "", BadRequest(err)
+		}
+	}
+	cfgHash, err := arch.ConfigHash(cfg)
 	if err != nil {
 		return "", err
 	}
-	key, err := arch.ConfigHash(cfg)
-	if err != nil {
-		return "", err
-	}
-	if fs != nil {
-		fsHash, err := fs.Hash()
-		if err != nil {
-			return "", err
-		}
-		key += "|" + fsHash
-	}
-	for _, net := range nets {
-		netHash, err := nn.NetworkHash(net)
-		if err != nil {
-			return "", err
-		}
-		key += "|" + netHash
-	}
-	return key, nil
+	return pointKey(cfgHash, fs)
 }
+
+// pointKey is the identity of one design point: the config hash
+// (arch.ConfigHash), joined with "|" and the fault set's hash when a
+// non-zero fault set rides along. It is both the routing key and the
+// prefix of every result-cache key (see cacheKey).
+func pointKey(cfgHash string, fs *faults.FaultSet) (string, error) {
+	if fs == nil {
+		return cfgHash, nil
+	}
+	fsHash, err := fs.Hash()
+	if err != nil {
+		return "", err
+	}
+	return cfgHash + "|" + fsHash, nil
+}
+
+// cacheKey is the result-cache key of one network evaluated at a design
+// point: pointKey joined with "|" and nn.NetworkHash. Requests that
+// resolve to the same design point and workload (presets, Base
+// overlays, raw JSON in any field order, a registered name in any case,
+// or an inline spec identical to a registry entry) share a key, so one
+// evaluation serves them all.
+func cacheKey(point, netHash string) string { return point + "|" + netHash }

@@ -86,10 +86,12 @@ func routeKey(t *testing.T, req EvaluateRequest) string {
 	return key
 }
 
-// TestRouteKeyInvariance: requests resolving to the same design point and
-// workloads share a key however they were spelled — alias vs canonical
-// preset, case-insensitive network names, inline spec vs the identical
-// registry entry.
+// TestRouteKeyInvariance: the route key is the design point. Requests
+// resolving to the same config and fault set share a key however they
+// were spelled (alias vs canonical preset, case-insensitive network
+// names, inline spec vs the identical registry entry) and whatever
+// networks they evaluate; a different config or fault set separates
+// them.
 func TestRouteKeyInvariance(t *testing.T) {
 	base := routeKey(t, EvaluateRequest{Preset: "fb", Network: "ResNet-18"})
 	if base == "" {
@@ -105,21 +107,35 @@ func TestRouteKeyInvariance(t *testing.T) {
 	if k := routeKey(t, EvaluateRequest{Preset: "fb", NetworkSpec: spec}); k != base {
 		t.Errorf("inline spec of the registry network changed the key:\n%s\n%s", base, k)
 	}
-	// Different design point, workload set, or fault set → different keys.
+	// Every network of one design point shares its key, so "all" and a
+	// single network of the same point land on one shard.
+	for _, req := range []EvaluateRequest{
+		{Preset: "fb", Network: "FNet-base"},
+		{Preset: "fb", Network: "all"},
+		{Preset: "fb"},
+		{Preset: "fb", NetworkSpec: json.RawMessage(tinySpec)},
+	} {
+		if k := routeKey(t, req); k != base {
+			t.Errorf("%+v: networks of one design point split the key:\n%s\n%s", req, base, k)
+		}
+	}
+	// Different design point or fault set → different keys.
 	if k := routeKey(t, EvaluateRequest{Preset: "ff", Network: "ResNet-18"}); k == base {
 		t.Error("different preset shares the key")
 	}
-	if k := routeKey(t, EvaluateRequest{Preset: "fb", Network: "FNet-base"}); k == base {
-		t.Error("different network shares the key")
-	}
 	faulty := EvaluateRequest{Preset: "fb", Network: "ResNet-18",
 		Faults: json.RawMessage(`{"DeadRFCUs": [0]}`)}
-	if k := routeKey(t, faulty); k == base {
+	fk := routeKey(t, faulty)
+	if fk == base {
 		t.Error("fault set shares the healthy key")
 	}
-	// "all" is the default and both spellings agree.
-	if routeKey(t, EvaluateRequest{Preset: "fb"}) != routeKey(t, EvaluateRequest{Preset: "fb", Network: "all"}) {
-		t.Error("empty Network and \"all\" disagree")
+	faulty.Faults = json.RawMessage(`{"DeadRFCUs": [1]}`)
+	if k := routeKey(t, faulty); k == fk || k == base {
+		t.Error("different fault sets share a key")
+	}
+	// A zero fault set is the healthy machine and keeps the healthy key.
+	if k := routeKey(t, EvaluateRequest{Preset: "fb", Faults: json.RawMessage(`{}`)}); k != base {
+		t.Errorf("zero fault set changed the key:\n%s\n%s", base, k)
 	}
 }
 
@@ -135,5 +151,14 @@ func TestRouteKeyErrorsKeepStatusTags(t *testing.T) {
 		NetworkSpec: json.RawMessage(tinySpec)}, SpecLimits{MaxLayers: 1})
 	if err == nil || StatusOf(err) != http.StatusUnprocessableEntity {
 		t.Errorf("over-limit spec: status %d, err %v", StatusOf(err), err)
+	}
+	for _, req := range []EvaluateRequest{
+		{Preset: "fb", Network: "no-such-net"},
+		{Preset: "fb", NetworkSpec: json.RawMessage(`{"Name": "x", "Layers": []}`)},
+		{Preset: "fb", Network: "ResNet-18", NetworkSpec: json.RawMessage(tinySpec)},
+	} {
+		if _, err := RouteKey(req, SpecLimits{}); err == nil || StatusOf(err) != http.StatusBadRequest {
+			t.Errorf("%+v: status %d, err %v", req, StatusOf(err), err)
+		}
 	}
 }

@@ -606,13 +606,11 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 		NetworkHashes: make([]string, len(nets)),
 		Reports:       make([]arch.Report, len(nets)),
 	}
-	keyPrefix := hash
+	point, err := pointKey(hash, fs)
+	if err != nil {
+		return EvaluateResponse{}, err
+	}
 	if fs != nil {
-		fsHash, err := fs.Hash()
-		if err != nil {
-			return EvaluateResponse{}, err
-		}
-		keyPrefix = hash + "|" + fsHash
 		// The remapping record is cheap to recompute, so full cache hits
 		// still answer with an honest Degradation block.
 		_, deg, err := fs.Degrade(cfg)
@@ -634,7 +632,7 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 			return EvaluateResponse{}, err
 		}
 		resp.NetworkHashes[i] = netHash
-		key := keyPrefix + "|" + netHash
+		key := cacheKey(point, netHash)
 		if r, ok := s.cache.Get(key); ok {
 			resp.Reports[i] = r
 			resp.CacheHits++
@@ -818,24 +816,38 @@ func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
 // validated, and checked against the resource limits), or a registered
 // name / "all" (empty defaults to "all").
 func resolveRequestNetworks(req EvaluateRequest, lim SpecLimits) ([]nn.Network, error) {
-	if len(req.NetworkSpec) > 0 {
-		if req.Network != "" {
-			return nil, errors.New("serve: request names both Network and NetworkSpec; pick one")
-		}
-		net, err := nn.ParseNetwork(req.NetworkSpec)
-		if err != nil {
-			return nil, err
-		}
-		if err := lim.check(net); err != nil {
-			return nil, err
-		}
+	net, inline, err := requestSpec(req, lim)
+	if err != nil {
+		return nil, err
+	}
+	if inline {
 		return []nn.Network{net}, nil
 	}
-	network := req.Network
-	if network == "" {
-		network = "all"
+	return sim.ResolveNetworks(requestNetworkName(req))
+}
+
+// requestSpec parses and limit-checks a request's inline NetworkSpec;
+// inline is false when the request names its workload instead.
+func requestSpec(req EvaluateRequest, lim SpecLimits) (net nn.Network, inline bool, err error) {
+	if len(req.NetworkSpec) == 0 {
+		return nn.Network{}, false, nil
 	}
-	return sim.ResolveNetworks(network)
+	if req.Network != "" {
+		return nn.Network{}, true, errors.New("serve: request names both Network and NetworkSpec; pick one")
+	}
+	if net, err = nn.ParseNetwork(req.NetworkSpec); err != nil {
+		return nn.Network{}, true, err
+	}
+	return net, true, lim.check(net)
+}
+
+// requestNetworkName is the workload name a request without an inline
+// spec evaluates; empty means "all".
+func requestNetworkName(req EvaluateRequest) string {
+	if req.Network == "" {
+		return "all"
+	}
+	return req.Network
 }
 
 // NetworkInfo is one /v1/networks vocabulary entry: a registered workload,

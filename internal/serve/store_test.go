@@ -8,7 +8,6 @@ import (
 
 	"refocus/internal/arch"
 	"refocus/internal/nn"
-	"refocus/internal/sim"
 )
 
 // sampleReport evaluates one real (config, network) pair so store tests
@@ -20,11 +19,11 @@ func sampleReport(t *testing.T) (string, arch.Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := sim.CacheKey(cfg, nn.ResNet18())
+	cfgHash, err := arch.ConfigHash(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return key, reports[0]
+	return cacheKey(cfgHash, nn.MustNetworkHash(nn.ResNet18())), reports[0]
 }
 
 // TestDiskStoreRoundTrip: a Put is readable back bit-identically through

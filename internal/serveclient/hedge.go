@@ -84,8 +84,9 @@ func (c *Client) sweepStreamOnce(ctx context.Context, body []byte, fn func(serve
 
 // HedgeResult reports how a hedged call was won.
 type HedgeResult struct {
-	// Resp is the winning response.
-	Resp serve.EvaluateResponse
+	// Body is the winning /v1/evaluate response body, as the shard sent
+	// it (see Client.EvaluateRaw).
+	Body []byte
 	// Target is the winner's index in the targets slice.
 	Target int
 	// Attempts counts clients actually tried (1 when the primary answered
@@ -104,7 +105,8 @@ type HedgeResult struct {
 // sequential failover. The first success cancels every other attempt and
 // wins; canceled losers settle their breakers neutrally (see
 // settleOutcome), so hedging never poisons a healthy shard's breaker.
-// All targets failing returns the joined per-target errors.
+// The winner's body comes back undecoded (HedgeResult.Body). All targets
+// failing returns the joined per-target errors.
 func EvaluateHedged(ctx context.Context, targets []*Client, delay time.Duration, req serve.EvaluateRequest) (HedgeResult, error) {
 	if len(targets) == 0 {
 		return HedgeResult{}, errors.New("serveclient: hedged call needs at least one target")
@@ -114,7 +116,7 @@ func EvaluateHedged(ctx context.Context, targets []*Client, delay time.Duration,
 
 	type outcome struct {
 		idx  int
-		resp serve.EvaluateResponse
+		body []byte
 		err  error
 	}
 	results := make(chan outcome, len(targets))
@@ -123,8 +125,8 @@ func EvaluateHedged(ctx context.Context, targets []*Client, delay time.Duration,
 		idx := launched
 		launched++
 		go func() {
-			resp, err := targets[idx].Evaluate(ctx, req)
-			results <- outcome{idx: idx, resp: resp, err: err}
+			body, err := targets[idx].EvaluateRaw(ctx, req)
+			results <- outcome{idx: idx, body: body, err: err}
 		}()
 	}
 	launch()
@@ -151,7 +153,7 @@ func EvaluateHedged(ctx context.Context, targets []*Client, delay time.Duration,
 		case out := <-results:
 			pending--
 			if out.err == nil {
-				return HedgeResult{Resp: out.resp, Target: out.idx, Attempts: launched, Hedged: launched > 1}, nil
+				return HedgeResult{Body: out.body, Target: out.idx, Attempts: launched, Hedged: launched > 1}, nil
 			}
 			errs = append(errs, fmt.Errorf("target %d: %w", out.idx, out.err))
 			if launched < len(targets) {

@@ -29,6 +29,16 @@ func okHandler(name string, delay time.Duration) http.Handler {
 	})
 }
 
+// winner decodes the Config name out of a hedged call's winning body.
+func winner(t *testing.T, res HedgeResult) string {
+	t.Helper()
+	var resp serve.EvaluateResponse
+	if err := json.Unmarshal(res.Body, &resp); err != nil {
+		t.Fatalf("winning body %q: %v", res.Body, err)
+	}
+	return resp.Config
+}
+
 // hedgeClient builds a single-attempt client (no internal retries) so the
 // hedge layer, not the retry loop, decides failover.
 func hedgeClient(t *testing.T, handler http.Handler) *Client {
@@ -51,7 +61,7 @@ func TestEvaluateHedgedPrimaryWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resp.Config != "primary" || res.Target != 0 || res.Hedged || res.Attempts != 1 {
+	if winner(t, res) != "primary" || res.Target != 0 || res.Hedged || res.Attempts != 1 {
 		t.Errorf("unexpected result: %+v", res)
 	}
 	if backupCalls.Load() != 0 {
@@ -71,7 +81,7 @@ func TestEvaluateHedgedSlowPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resp.Config != "backup" || res.Target != 1 || !res.Hedged || res.Attempts != 2 {
+	if winner(t, res) != "backup" || res.Target != 1 || !res.Hedged || res.Attempts != 2 {
 		t.Errorf("unexpected result: %+v", res)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -106,7 +116,7 @@ func TestEvaluateHedgedDeadPrimaryFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resp.Config != "backup" || res.Target != 1 || !res.Hedged {
+	if winner(t, res) != "backup" || res.Target != 1 || !res.Hedged {
 		t.Errorf("unexpected result: %+v", res)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -151,7 +161,7 @@ func TestEvaluateHedgedSequentialFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resp.Config != "primary" || res.Hedged {
+	if winner(t, res) != "primary" || res.Hedged {
 		t.Errorf("unexpected result: %+v", res)
 	}
 	if backupCalls.Load() != 0 {

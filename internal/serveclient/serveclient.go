@@ -173,11 +173,20 @@ func (c *Client) Stats() Stats {
 	}
 }
 
-// Evaluate calls POST /v1/evaluate.
+// Evaluate calls POST /v1/evaluate: EvaluateRaw plus one decode.
 func (c *Client) Evaluate(ctx context.Context, req serve.EvaluateRequest) (serve.EvaluateResponse, error) {
 	var resp serve.EvaluateResponse
-	err := c.call(ctx, http.MethodPost, "/v1/evaluate", req, &resp)
+	data, err := c.EvaluateRaw(ctx, req)
+	if err == nil {
+		err = decode(data, &resp)
+	}
 	return resp, err
+}
+
+// EvaluateRaw calls POST /v1/evaluate and returns the server's 200 body
+// as sent, undecoded — what a relay forwards without touching a float.
+func (c *Client) EvaluateRaw(ctx context.Context, req serve.EvaluateRequest) ([]byte, error) {
+	return c.callRaw(ctx, http.MethodPost, "/v1/evaluate", req)
 }
 
 // Sweep calls POST /v1/sweep.
@@ -236,26 +245,38 @@ func (c *Client) OptimizeStatus(ctx context.Context, id string) (opt.StatusRespo
 	return resp, err
 }
 
-// call runs one logical request through the breaker and retry loop,
-// decoding a 200 into out.
+// call runs one logical request through callRaw, decoding a 200 into
+// out.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
-	if err := c.admit(); err != nil {
+	data, err := c.callRaw(ctx, method, path, in)
+	if err != nil {
 		return err
+	}
+	return decode(data, out)
+}
+
+// callRaw runs one logical request through the breaker and retry loop,
+// returning a 200's body.
+func (c *Client) callRaw(ctx context.Context, method, path string, in any) ([]byte, error) {
+	if err := c.admit(); err != nil {
+		return nil, err
 	}
 	var body []byte
 	if in != nil {
 		var err error
 		if body, err = json.Marshal(in); err != nil {
 			c.settle(false)
-			return fmt.Errorf("serveclient: encoding request: %w", err)
+			return nil, fmt.Errorf("serveclient: encoding request: %w", err)
 		}
 	}
 	c.requests.Add(1)
 	data, err := c.doWithRetries(ctx, method, path, body)
 	c.settleOutcome(ctx, err)
-	if err != nil {
-		return err
-	}
+	return data, err
+}
+
+// decode parses a 200 body into out.
+func decode(data []byte, out any) error {
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("serveclient: decoding response: %w", err)
 	}

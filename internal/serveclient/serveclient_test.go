@@ -1,10 +1,14 @@
 package serveclient
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -264,6 +268,52 @@ func TestAgainstRealServer(t *testing.T) {
 	}
 	if snap.Evaluations != 1 {
 		t.Errorf("metrics over client: %+v", snap)
+	}
+}
+
+// TestEvaluateRawIsTheServerBody: EvaluateRaw hands back the worker's
+// body byte for byte, and Evaluate is that body decoded.
+func TestEvaluateRawIsTheServerBody(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	c, ts := testClient(t, srv.Handler(), nil)
+	req := serve.EvaluateRequest{Preset: "fb", Network: "ResNet-18"}
+	raw, err := c.EvaluateRaw(context.Background(), req) // miss, then a hit below
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := http.Post(ts.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(direct.Body)
+	direct.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := c.EvaluateRaw(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(hit, want) {
+		t.Errorf("EvaluateRaw body differs from the server's:\n%s\n%s", hit, want)
+	}
+	if bytes.Equal(raw, hit) {
+		t.Error("miss and hit bodies are identical; cache counters missing?")
+	}
+	resp, err := c.Evaluate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded serve.EvaluateResponse
+	if err := json.Unmarshal(hit, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp, decoded) {
+		t.Errorf("Evaluate is not the decoded body:\n%+v\n%+v", resp, decoded)
 	}
 }
 

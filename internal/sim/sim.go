@@ -133,9 +133,30 @@ func ResolveNetworks(name string) ([]nn.Network, error) {
 	}
 	net, ok := nn.ByName(name)
 	if !ok {
-		return nil, fmt.Errorf("sim: unknown network %q (known: %s, or \"all\")", name, strings.Join(nn.Names(), ", "))
+		return nil, unknownNetwork(name)
 	}
 	return []nn.Network{net}, nil
+}
+
+// CheckNetworkName accepts exactly the names ResolveNetworks accepts and
+// fails with the same error, without building the networks — the check
+// a router needs, which forwards the name rather than evaluating it.
+func CheckNetworkName(name string) error {
+	if strings.EqualFold(name, "all") {
+		return nil
+	}
+	for _, known := range nn.Names() {
+		if strings.EqualFold(known, name) {
+			return nil
+		}
+	}
+	return unknownNetwork(name)
+}
+
+// unknownNetwork is the miss error of ResolveNetworks and
+// CheckNetworkName: it lists every valid name.
+func unknownNetwork(name string) error {
+	return fmt.Errorf("sim: unknown network %q (known: %s, or \"all\")", name, strings.Join(nn.Names(), ", "))
 }
 
 // LoadNetworkFile reads and strictly parses a JSON network spec.
@@ -246,24 +267,6 @@ func EvaluateCtx(ctx context.Context, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	return Result{Config: cfg, Networks: nets, Reports: reports}, nil
-}
-
-// CacheKey returns the canonical identity of one (design point, network)
-// evaluation: arch.ConfigHash joined with nn.NetworkHash. Requests that
-// resolve to the same design point and workload — via presets, Base
-// overlays, raw JSON in any field order, a registered name in any case,
-// or an inline spec identical to a registry entry — share a key, so a
-// result cache keyed on it serves them all from one evaluation.
-func CacheKey(cfg arch.SystemConfig, net nn.Network) (string, error) {
-	cfgHash, err := arch.ConfigHash(cfg)
-	if err != nil {
-		return "", err
-	}
-	netHash, err := nn.NetworkHash(net)
-	if err != nil {
-		return "", err
-	}
-	return cfgHash + "|" + netHash, nil
 }
 
 // Run executes the full pipeline: resolve → override → validate →
