@@ -265,8 +265,16 @@ func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError sends the worker tier's structured error payload, mapping
 // shard-reported StatusErrors back onto their original status so the
-// coordinator is transparent to clients.
+// coordinator is transparent to clients. A shard's refusal of the point
+// (serveclient.Refusal) is relayed byte for byte: the client gets the
+// answer the shard gave.
 func (c *Coordinator) writeError(w http.ResponseWriter, err error) {
+	if se, ok := serveclient.Refusal(err); ok && se.Body != nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(se.Status)
+		w.Write(se.Body) //nolint:errcheck // a failed write means the client is gone
+		return
+	}
 	status := serve.StatusOf(err)
 	var se *serveclient.StatusError
 	if errors.As(err, &se) && se.Status >= 400 {

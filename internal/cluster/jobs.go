@@ -11,7 +11,8 @@ import (
 )
 
 // jobTier mounts campaigns and searches on the coordinator. The jobs
-// themselves run in the coordinator process; each evaluation is
+// themselves run in the coordinator process; each evaluation is encoded
+// as the evaluate request a plain client would send for its point and
 // dispatched by its route key — a campaign's trial seed, a search
 // candidate's config hash — riding the same hedged client chain
 // (retries, breaker, dead-shard failover) ordinary points use, so a
@@ -25,8 +26,12 @@ func (c *Coordinator) jobTier() *serve.JobTier {
 		WriteJSON:  c.writeJSON,
 		WriteError: c.writeError,
 		StreamLine: c.metrics.stream.Inc,
-		Evaluate: func(ctx context.Context, req serve.EvaluateRequest, routeKey string) (serve.EvaluateResponse, error) {
+		Evaluate: func(ctx context.Context, p serve.JobPoint, routeKey string) (serve.EvaluateResponse, error) {
 			var resp serve.EvaluateResponse
+			req, err := p.Request()
+			if err != nil {
+				return resp, err
+			}
 			body, err := c.dispatchKeyed(ctx, req, routeKey)
 			if err == nil {
 				err = decodeShardBody(body, &resp)

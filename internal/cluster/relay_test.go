@@ -8,12 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"refocus/internal/arch"
 	"refocus/internal/serve"
 )
 
@@ -260,5 +262,64 @@ func TestCoordinatorStreamRefusesNonObjectBody(t *testing.T) {
 		cts.Close()
 		coord.Close()
 		shard.Close()
+	}
+}
+
+// deadChipRequest evaluates the fb design point with every RFCU dead:
+// the request is well formed and routes like any other, but only the
+// worker's fault remap can tell that nothing runs, so the shard refuses
+// it with a 400.
+func deadChipRequest(t *testing.T) string {
+	t.Helper()
+	dead := make([]string, arch.FB().NRFCU)
+	for i := range dead {
+		dead[i] = strconv.Itoa(i)
+	}
+	return `{"Preset": "fb", "Network": "ResNet-18", "Faults": {"DeadRFCUs": [` + strings.Join(dead, ",") + `]}}`
+}
+
+// TestRefusalKeepsBreakersClosed: shard refusals are a healthy shard
+// judging a bad request, not shard failures. Two refused points (the
+// coordinator's breaker threshold) must leave every breaker closed, so
+// the next healthy point is served.
+func TestRefusalKeepsBreakersClosed(t *testing.T) {
+	coord, url, _, _ := testCluster(t, 2, nil)
+	bad := deadChipRequest(t)
+	for i := 0; i < 2; i++ {
+		if status, body := postJSON(t, url+"/v1/evaluate", bad); status != http.StatusBadRequest {
+			t.Fatalf("dead chip %d answered %d, want 400: %s", i, status, body)
+		}
+	}
+	if status, body := postJSON(t, url+"/v1/evaluate", `{"Preset":"fb","Network":"ResNet-18"}`); status != http.StatusOK {
+		t.Fatalf("healthy point after two refusals answered %d: %s", status, body)
+	}
+	for shard, cl := range coord.clients {
+		if st := cl.Stats(); st.BreakerOpens != 0 || st.BreakerRejects != 0 {
+			t.Errorf("shard %s: breaker %+v after refusals, want it closed", shard, st)
+		}
+	}
+}
+
+// TestRefusalRelayedFromOneShard: a refused point reaches exactly one
+// shard — every ring successor would refuse it the same way — and the
+// coordinator answers with that shard's status and body, byte for byte.
+func TestRefusalRelayedFromOneShard(t *testing.T) {
+	coord, url, _, _ := testCluster(t, 2, nil)
+	ref := referenceWorker(t)
+	bad := deadChipRequest(t)
+	cs, cb := postJSON(t, url+"/v1/evaluate", bad)
+	ws, wb := postJSON(t, ref+"/v1/evaluate", bad)
+	if cs != http.StatusBadRequest || ws != http.StatusBadRequest {
+		t.Fatalf("coordinator %d, worker %d; want 400 from both\n%s\n%s", cs, ws, cb, wb)
+	}
+	if !bytes.Equal(cb, wb) {
+		t.Errorf("coordinator body differs from the worker's:\n%s\n%s", cb, wb)
+	}
+	var reached int64
+	for _, cl := range coord.clients {
+		reached += cl.Stats().Requests
+	}
+	if reached != 1 {
+		t.Errorf("refused point reached shards %d times, want 1", reached)
 	}
 }

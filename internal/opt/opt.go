@@ -124,6 +124,11 @@ type Spec struct {
 	// Model is the Monte Carlo fault model for yield; the zero value
 	// gets a small default when YieldTrials > 0.
 	Model faults.MonteCarloModel
+
+	// resolved is the base point and workload, resolved and hashed when
+	// a Manager or Runner takes the spec (see withResolved); nil on a
+	// spec built by hand.
+	resolved *sim.Point
 }
 
 // DefaultNetwork is the workload a spec evaluates when none is named.
@@ -324,6 +329,36 @@ func (s Spec) ResolveNetworks() ([]nn.Network, error) {
 	return sim.ResolveNetworks(name)
 }
 
+// Resolve returns the spec's base design point and workload with their
+// content hashes. The spec a running search hands its PointEval carries
+// the ones resolved when the search started, so candidates reuse them;
+// any other spec resolves them afresh. Call on the defaulted form.
+func (s Spec) Resolve() (sim.Point, error) {
+	if s.resolved != nil {
+		return *s.resolved, nil
+	}
+	cfg, err := s.ResolveConfig()
+	if err != nil {
+		return sim.Point{}, err
+	}
+	nets, err := s.ResolveNetworks()
+	if err != nil {
+		return sim.Point{}, err
+	}
+	return sim.ResolvePoint(cfg, nets)
+}
+
+// withResolved returns the spec carrying its resolved point, so its ID,
+// its runner and every candidate evaluation share one set of hashes.
+func (s Spec) withResolved() (Spec, error) {
+	p, err := s.Resolve()
+	if err != nil {
+		return s, err
+	}
+	s.resolved = &p
+	return s, nil
+}
+
 // searchIdentity is the hashed form of a spec: the base design point and
 // workload are replaced by their canonical content hashes, so two specs
 // that spell the same base point differently (preset alias vs inline
@@ -349,21 +384,14 @@ type searchIdentity struct {
 // defaulted spec's canonical form. It names the checkpoint file and the
 // GET /v1/optimize/{id} handle. Call on the defaulted form.
 func (s Spec) ID() (string, error) {
-	cfg, err := s.ResolveConfig()
-	if err != nil {
-		return "", err
-	}
-	cfgHash, err := arch.ConfigHash(cfg)
-	if err != nil {
-		return "", err
-	}
-	nets, err := s.ResolveNetworks()
+	p, err := s.Resolve()
 	if err != nil {
 		return "", err
 	}
 	idt := searchIdentity{
 		Name:          s.Name,
-		ConfigHash:    cfgHash,
+		ConfigHash:    p.ConfigHash,
+		NetworkHashes: p.NetworkHashes,
 		Space:         s.Space,
 		Objectives:    s.Objectives,
 		AreaBudgetMM2: s.AreaBudgetMM2,
@@ -374,13 +402,6 @@ func (s Spec) ID() (string, error) {
 		Seed:          s.Seed,
 		YieldTrials:   s.YieldTrials,
 		Model:         s.Model,
-	}
-	for _, net := range nets {
-		h, err := nn.NetworkHash(net)
-		if err != nil {
-			return "", err
-		}
-		idt.NetworkHashes = append(idt.NetworkHashes, h)
 	}
 	data, err := json.Marshal(idt)
 	if err != nil {

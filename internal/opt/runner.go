@@ -9,7 +9,6 @@ import (
 	"refocus/internal/arch"
 	"refocus/internal/faults"
 	"refocus/internal/job"
-	"refocus/internal/nn"
 )
 
 // PointMetrics is what a PointEval measures for one design point: the
@@ -28,12 +27,14 @@ type PointMetrics struct {
 	AreaMM2 float64
 }
 
-// PointEval evaluates one materialized candidate design point. The
+// PointEval evaluates one materialized candidate design point over the
+// spec's workload (spec.Resolve: the running search's spec carries it,
+// resolved once). routeKey is the candidate's canonical config hash
+// (arch.ConfigHash), so a tier need not hash the candidate again. The
 // serve tier implements it on top of its cached, admission-controlled
-// worker pool; the cluster tier dispatches it across shards by routeKey
-// (the candidate's canonical config hash, so a repeated point always
-// lands on the shard that already cached it); DirectEval evaluates
-// in-process.
+// worker pool; the cluster tier dispatches it across shards by routeKey,
+// so a repeated point always lands on the shard that already cached it;
+// DirectEval evaluates in-process.
 type PointEval func(ctx context.Context, spec Spec, cfg arch.SystemConfig, routeKey string) (PointMetrics, error)
 
 // PointMetricsFromReports aggregates per-network reports the way every
@@ -62,11 +63,11 @@ func PointMetricsFromReports(reports []arch.Report) PointMetrics {
 // that does not sit behind the serving tier.
 func DirectEval() PointEval {
 	return func(ctx context.Context, spec Spec, cfg arch.SystemConfig, _ string) (PointMetrics, error) {
-		nets, err := spec.ResolveNetworks()
+		p, err := spec.Resolve()
 		if err != nil {
 			return PointMetrics{}, err
 		}
-		reports, err := arch.EvaluateAllCtx(ctx, cfg, nets)
+		reports, err := arch.EvaluateAllCtx(ctx, cfg, p.Networks)
 		if err != nil {
 			return PointMetrics{}, err
 		}
@@ -225,7 +226,10 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if r.Eval == nil {
 		return nil, errors.New("opt: Runner.Eval is required")
 	}
-	spec := r.Spec
+	spec, err := r.Spec.withResolved()
+	if err != nil {
+		return nil, err
+	}
 	g, err := newGrid(spec)
 	if err != nil {
 		return nil, err
@@ -233,12 +237,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	strat, err := strategyFor(spec.Strategy)
 	if err != nil {
 		return nil, err
-	}
-	var nets []nn.Network
-	if spec.YieldTrials > 0 {
-		if nets, err = spec.ResolveNetworks(); err != nil {
-			return nil, err
-		}
 	}
 	total := spec.Generations * spec.Population
 
@@ -279,7 +277,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		if len(pending) == 0 {
 			continue
 		}
-		if err := r.runGeneration(ctx, g, nets, gen, cands, pending, done, jr, total); err != nil {
+		if err := r.runGeneration(ctx, spec, g, gen, cands, pending, done, jr, total); err != nil {
 			return nil, err
 		}
 		executed += len(pending)
@@ -337,11 +335,11 @@ func (r *Runner) proposals(strat Strategy, g *grid, done map[cell]CandidateResul
 	return cands
 }
 
-// runGeneration evaluates one generation's pending cells with bounded
-// workers, appending every candidate to the journal.
-func (r *Runner) runGeneration(ctx context.Context, g *grid, nets []nn.Network, gen int, cands []Candidate, pending []int, done map[cell]CandidateResult, jr *job.Journal[CandidateResult, searchEnd], total int) error {
+// runGeneration evaluates one generation's pending cells of the resolved
+// spec with bounded workers, appending every candidate to the journal.
+func (r *Runner) runGeneration(ctx context.Context, spec Spec, g *grid, gen int, cands []Candidate, pending []int, done map[cell]CandidateResult, jr *job.Journal[CandidateResult, searchEnd], total int) error {
 	return job.Fan(ctx, r.Parallelism, pending, func(ctx context.Context, idx int) (CandidateResult, error) {
-		return r.runPoint(ctx, g, nets, gen, idx, cands[idx])
+		return r.runPoint(ctx, spec, g, gen, idx, cands[idx])
 	}, func(idx int, c CandidateResult) (func(), error) {
 		done[cell{gen, idx}] = c
 		u := Update{Type: "point", Completed: len(done), Total: total, Point: &c}
@@ -358,7 +356,7 @@ func (r *Runner) runGeneration(ctx context.Context, g *grid, nets []nn.Network, 
 // candidate (an architecturally invalid point is recorded, not fatal —
 // the strategy learns the hole in the space), measure its objectives via
 // Eval, sample yield when the spec asks for it, and check feasibility.
-func (r *Runner) runPoint(ctx context.Context, g *grid, nets []nn.Network, gen, idx int, cand Candidate) (CandidateResult, error) {
+func (r *Runner) runPoint(ctx context.Context, spec Spec, g *grid, gen, idx int, cand Candidate) (CandidateResult, error) {
 	if err := ctx.Err(); err != nil {
 		return CandidateResult{}, err
 	}
@@ -367,7 +365,7 @@ func (r *Runner) runPoint(ctx context.Context, g *grid, nets []nn.Network, gen, 
 		Gen:       gen,
 		Index:     idx,
 		Candidate: cand,
-		Seed:      CandidateSeed(r.Spec.Seed, gen, idx),
+		Seed:      CandidateSeed(spec.Seed, gen, idx),
 		M:         m,
 		NRFCU:     n,
 		NLambda:   l,
@@ -386,7 +384,7 @@ func (r *Runner) runPoint(ctx context.Context, g *grid, nets []nn.Network, gen, 
 	}
 	c.ConfigHash = hash
 
-	pm, err := r.Eval(ctx, r.Spec, cfg, hash)
+	pm, err := r.Eval(ctx, spec, cfg, hash)
 	if err != nil {
 		return CandidateResult{}, fmt.Errorf("opt: cell (%d,%d) %s: %w", gen, idx, cfg.Name, err)
 	}
@@ -398,13 +396,13 @@ func (r *Runner) runPoint(ctx context.Context, g *grid, nets []nn.Network, gen, 
 		PowerW:     pm.PowerW,
 		AreaMM2:    pm.AreaMM2,
 	}
-	if r.Spec.YieldTrials > 0 {
-		yr, err := faults.YieldSweep(ctx, cfg, nets, r.Spec.Model, r.Spec.YieldTrials, c.Seed)
+	if spec.YieldTrials > 0 {
+		yr, err := faults.YieldSweep(ctx, cfg, spec.resolved.Networks, spec.Model, spec.YieldTrials, c.Seed)
 		if err != nil {
 			return CandidateResult{}, fmt.Errorf("opt: cell (%d,%d) yield: %w", gen, idx, err)
 		}
 		c.Metrics.Yield = float64(yr.Trials-yr.Failed) / float64(yr.Trials)
 	}
-	c.Feasible = r.Spec.feasible(c.Metrics)
+	c.Feasible = spec.feasible(c.Metrics)
 	return c, nil
 }

@@ -108,6 +108,9 @@ func (m *Manager) Start(spec Spec) (j *Job, created bool, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
+	if spec, err = spec.withResolved(); err != nil {
+		return nil, false, err
+	}
 	id, err := spec.ID()
 	if err != nil {
 		return nil, false, err

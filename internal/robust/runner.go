@@ -21,7 +21,9 @@ type TrialMetrics struct {
 	Energy float64
 }
 
-// TrialEval evaluates the degraded design point of one trial. The serve
+// TrialEval evaluates the degraded design point of one trial: the spec's
+// point (spec.Resolve: the running campaign's spec carries it, resolved
+// once) degraded by fs. The serve
 // tier implements it on top of its cached, admission-controlled worker
 // pool; the cluster tier dispatches it across shards by routeKey (the
 // campaign ID + trial seed, so a fixed trial always lands on the same
@@ -46,20 +48,16 @@ func TrialMetricsFromReports(reports []arch.Report) TrialMetrics {
 // that does not sit behind the serving tier.
 func DirectEval() TrialEval {
 	return func(ctx context.Context, spec Spec, fs faults.FaultSet, _ string) (TrialMetrics, error) {
-		cfg, err := spec.ResolveConfig()
-		if err != nil {
-			return TrialMetrics{}, err
-		}
-		nets, err := spec.ResolveNetworks()
+		p, err := spec.Resolve()
 		if err != nil {
 			return TrialMetrics{}, err
 		}
 		var reports []arch.Report
 		if fs.IsZero() {
-			reports, err = arch.EvaluateAllCtx(ctx, cfg, nets)
+			reports, err = arch.EvaluateAllCtx(ctx, p.Config, p.Networks)
 		} else {
 			var degraded []faults.Report
-			degraded, err = faults.EvaluateAllCtx(ctx, cfg, fs, nets)
+			degraded, err = faults.EvaluateAllCtx(ctx, p.Config, fs, p.Networks)
 			if err == nil {
 				reports = make([]arch.Report, len(degraded))
 				for i, d := range degraded {
@@ -196,8 +194,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if r.Eval == nil {
 		return nil, errors.New("robust: Runner.Eval is required")
 	}
-	spec := r.Spec
-	cfg, err := spec.ResolveConfig()
+	spec, err := r.Spec.withResolved()
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +243,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	}
 
 	err = job.Fan(ctx, r.Parallelism, pending, func(ctx context.Context, k trialKey) (TrialResult, error) {
-		return r.runTrial(ctx, cfg, har, k.sev, k.trial)
+		return r.runTrial(ctx, spec, har, k.sev, k.trial)
 	}, func(k trialKey, t TrialResult) (func(), error) {
 		done[k] = t
 		point := partialPoint(spec, done, k.sev)
@@ -282,18 +279,20 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// runTrial computes one (severity, trial) cell: sample faults from the
-// severity-scaled model, degrade locally (a chip with no compute path is
-// a yield loss, never an evaluation), measure degraded throughput via
-// Eval, and evaluate the reference net on the trial's device.
-func (r *Runner) runTrial(ctx context.Context, cfg arch.SystemConfig, har *harness, sev, trial int) (TrialResult, error) {
+// runTrial computes one (severity, trial) cell of the resolved spec:
+// sample faults from the severity-scaled model, degrade locally (a chip
+// with no compute path is a yield loss, never an evaluation), measure
+// degraded throughput via Eval, and evaluate the reference net on the
+// trial's device.
+func (r *Runner) runTrial(ctx context.Context, spec Spec, har *harness, sev, trial int) (TrialResult, error) {
 	if err := ctx.Err(); err != nil {
 		return TrialResult{}, err
 	}
-	seed := TrialSeed(r.Spec.Seed, sev, trial)
-	severity := r.Spec.Severities[sev]
+	cfg := spec.resolved.Config
+	seed := TrialSeed(spec.Seed, sev, trial)
+	severity := spec.Severities[sev]
 	rng := rand.New(rand.NewSource(seed))
-	fs := r.Spec.ScaledModel(severity).Sample(rng, cfg)
+	fs := spec.ScaledModel(severity).Sample(rng, cfg)
 	fs.Name = fmt.Sprintf("sev%d-trial%d", sev, trial)
 	t := TrialResult{Severity: sev, Trial: trial, Seed: seed}
 
@@ -309,14 +308,14 @@ func (r *Runner) runTrial(ctx context.Context, cfg arch.SystemConfig, har *harne
 	t.EffectiveLambda = deg.EffectiveLambda
 	t.EffectiveReuses = deg.EffectiveReuses
 
-	m, err := r.Eval(ctx, r.Spec, fs, fmt.Sprintf("%s|%016x", r.ID, uint64(seed)))
+	m, err := r.Eval(ctx, spec, fs, fmt.Sprintf("%s|%016x", r.ID, uint64(seed)))
 	if err != nil {
 		return TrialResult{}, fmt.Errorf("robust: trial (%d,%d): %w", sev, trial, err)
 	}
 	t.FPS, t.Energy = m.FPS, m.Energy
 
 	t.Accuracy = har.accuracy(seed, severity)
-	if r.Spec.Retrain {
+	if spec.Retrain {
 		acc := har.retrain(seed, severity)
 		t.RetrainedAccuracy = &acc
 	}

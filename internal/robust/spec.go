@@ -110,6 +110,11 @@ type Spec struct {
 	Device DeviceModel
 	// Task sizes the reference task (zero fields get defaults).
 	Task TaskSpec
+
+	// resolved is the design point and workload, resolved and hashed
+	// when a Manager or Runner takes the spec (see withResolved); nil on
+	// a spec built by hand.
+	resolved *sim.Point
 }
 
 // Default campaign knobs, applied by WithDefaults.
@@ -252,6 +257,36 @@ func (s Spec) ResolveNetworks() ([]nn.Network, error) {
 	return sim.ResolveNetworks(name)
 }
 
+// Resolve returns the spec's design point and workload with their
+// content hashes. The spec a running campaign hands its TrialEval
+// carries the ones resolved when the campaign started, so trials reuse
+// them; any other spec resolves them afresh. Call on the defaulted form.
+func (s Spec) Resolve() (sim.Point, error) {
+	if s.resolved != nil {
+		return *s.resolved, nil
+	}
+	cfg, err := s.ResolveConfig()
+	if err != nil {
+		return sim.Point{}, err
+	}
+	nets, err := s.ResolveNetworks()
+	if err != nil {
+		return sim.Point{}, err
+	}
+	return sim.ResolvePoint(cfg, nets)
+}
+
+// withResolved returns the spec carrying its resolved point, so its ID,
+// its runner and every trial evaluation share one set of hashes.
+func (s Spec) withResolved() (Spec, error) {
+	p, err := s.Resolve()
+	if err != nil {
+		return s, err
+	}
+	s.resolved = &p
+	return s, nil
+}
+
 // ScaledModel returns the fault model at one severity multiplier:
 // per-unit failure probabilities scale linearly and clamp at 1, the loss
 // σ scales linearly. Severity 0 is a perfect fab.
@@ -292,35 +327,21 @@ type campaignIdentity struct {
 // the GET /v1/robustness/{id} handle, and doubles as the route-key
 // prefix sharding trials across a cluster. Call on the defaulted form.
 func (s Spec) ID() (string, error) {
-	cfg, err := s.ResolveConfig()
-	if err != nil {
-		return "", err
-	}
-	cfgHash, err := arch.ConfigHash(cfg)
-	if err != nil {
-		return "", err
-	}
-	nets, err := s.ResolveNetworks()
+	p, err := s.Resolve()
 	if err != nil {
 		return "", err
 	}
 	idt := campaignIdentity{
-		Name:       s.Name,
-		ConfigHash: cfgHash,
-		Model:      s.Model,
-		Severities: s.Severities,
-		Trials:     s.Trials,
-		Seed:       s.Seed,
-		Retrain:    s.Retrain,
-		Device:     s.Device,
-		Task:       s.Task,
-	}
-	for _, net := range nets {
-		h, err := nn.NetworkHash(net)
-		if err != nil {
-			return "", err
-		}
-		idt.NetworkHashes = append(idt.NetworkHashes, h)
+		Name:          s.Name,
+		ConfigHash:    p.ConfigHash,
+		NetworkHashes: p.NetworkHashes,
+		Model:         s.Model,
+		Severities:    s.Severities,
+		Trials:        s.Trials,
+		Seed:          s.Seed,
+		Retrain:       s.Retrain,
+		Device:        s.Device,
+		Task:          s.Task,
 	}
 	data, err := json.Marshal(idt)
 	if err != nil {

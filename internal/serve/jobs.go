@@ -14,6 +14,7 @@ import (
 	"refocus/internal/job"
 	"refocus/internal/opt"
 	"refocus/internal/robust"
+	"refocus/internal/sim"
 )
 
 // JobTier mounts the long-running job kinds (robustness campaigns,
@@ -30,7 +31,7 @@ type JobTier struct {
 	StreamLine func()
 	// Evaluate runs one job evaluation; routeKey places it on a tier
 	// that shards its work.
-	Evaluate func(ctx context.Context, req EvaluateRequest, routeKey string) (EvaluateResponse, error)
+	Evaluate func(ctx context.Context, p JobPoint, routeKey string) (EvaluateResponse, error)
 	// Shed reports whether err means the tier shed the evaluation, and
 	// how long to wait before trying it again.
 	Shed func(err error) (wait time.Duration, shed bool)
@@ -55,23 +56,58 @@ func (t *JobTier) Mount(mux *http.ServeMux, instrument func(label string, h http
 	}))
 }
 
-// CampaignEval is the robust.TrialEval backing the tier's campaigns:
-// each trial's degraded design point becomes an ordinary evaluate
-// request.
-func (t *JobTier) CampaignEval(ctx context.Context, spec robust.Spec, fs faults.FaultSet, routeKey string) (robust.TrialMetrics, error) {
-	req := EvaluateRequest{
-		Preset:  spec.Preset,
-		Config:  spec.Config,
-		Network: spec.Network,
-	}
-	if !fs.IsZero() {
-		data, err := json.Marshal(fs.Canonical())
+// JobPoint is one evaluation a job asks its tier for: the point, already
+// resolved — a worker evaluates it as it is, through its cache and
+// admission path — and how the job's spec names it, for a tier that
+// sends it to a shard as an evaluate request (see Request).
+type JobPoint struct {
+	Point sim.Point
+	// Base is the wire naming of the point's design and workload:
+	// Preset or Config, and Network. An empty Preset and Config name the
+	// design by Point.Config itself.
+	Base EvaluateRequest
+}
+
+// Request encodes the point as the evaluate request a shard resolves
+// back to it: Base, with the config in the -config-file schema when
+// Base names none, and the canonical fault set when the point carries
+// one.
+func (p JobPoint) Request() (EvaluateRequest, error) {
+	req := p.Base
+	if req.Preset == "" && len(req.Config) == 0 {
+		data, err := arch.ConfigJSON(p.Point.Config)
 		if err != nil {
-			return robust.TrialMetrics{}, err
+			return EvaluateRequest{}, err
+		}
+		req.Config = data
+	}
+	if p.Point.Faults != nil {
+		data, err := json.Marshal(p.Point.Faults.Canonical())
+		if err != nil {
+			return EvaluateRequest{}, err
 		}
 		req.Faults = data
 	}
-	resp, err := t.evaluate(ctx, req, routeKey, "campaign trial")
+	return req, nil
+}
+
+// CampaignEval is the robust.TrialEval backing the tier's campaigns:
+// each trial is the campaign's point — config and workload resolved once,
+// when the campaign started — degraded by the trial's fault set.
+func (t *JobTier) CampaignEval(ctx context.Context, spec robust.Spec, fs faults.FaultSet, routeKey string) (robust.TrialMetrics, error) {
+	p, err := spec.Resolve()
+	if err != nil {
+		return robust.TrialMetrics{}, err
+	}
+	if !fs.IsZero() {
+		if err := fs.Validate(p.Config); err != nil {
+			return robust.TrialMetrics{}, err
+		}
+		canon := fs.Canonical()
+		p.Faults = &canon
+	}
+	base := EvaluateRequest{Preset: spec.Preset, Config: spec.Config, Network: spec.Network}
+	resp, err := t.evaluate(ctx, JobPoint{Point: p, Base: base}, routeKey, "campaign trial")
 	if err != nil {
 		return robust.TrialMetrics{}, err
 	}
@@ -79,27 +115,30 @@ func (t *JobTier) CampaignEval(ctx context.Context, spec robust.Spec, fs faults.
 }
 
 // OptimizeEval is the opt.PointEval backing the tier's searches: each
-// candidate becomes an ordinary evaluate request, so a candidate any
-// search or plain request already visited is a cache hit.
-func (t *JobTier) OptimizeEval(ctx context.Context, spec opt.Spec, cfg arch.SystemConfig, routeKey string) (opt.PointMetrics, error) {
-	data, err := arch.ConfigJSON(cfg)
+// candidate is the search's workload, resolved once when the search
+// started, at the candidate's design point and the config hash the
+// runner already computed (the route key). A candidate any search or
+// plain request already visited is a cache hit.
+func (t *JobTier) OptimizeEval(ctx context.Context, spec opt.Spec, cfg arch.SystemConfig, configHash string) (opt.PointMetrics, error) {
+	p, err := spec.Resolve()
 	if err != nil {
 		return opt.PointMetrics{}, err
 	}
-	resp, err := t.evaluate(ctx, EvaluateRequest{Config: data, Network: spec.Network}, routeKey, "optimizer point")
+	p.Config, p.ConfigHash = cfg, configHash
+	resp, err := t.evaluate(ctx, JobPoint{Point: p, Base: EvaluateRequest{Network: spec.Network}}, configHash, "optimizer point")
 	if err != nil {
 		return opt.PointMetrics{}, err
 	}
 	return opt.PointMetricsFromReports(resp.Reports), nil
 }
 
-// evaluate runs req for a long-running job. An evaluation the tier
-// sheds waits out the suggested delay and tries again instead of failing
-// the job: shedding protects request latency, and job work is the
+// evaluate runs p for a long-running job. An evaluation the tier sheds
+// waits out the suggested delay and tries again instead of failing the
+// job: shedding protects request latency, and job work is the
 // definition of deferrable.
-func (t *JobTier) evaluate(ctx context.Context, req EvaluateRequest, routeKey, what string) (EvaluateResponse, error) {
+func (t *JobTier) evaluate(ctx context.Context, p JobPoint, routeKey, what string) (EvaluateResponse, error) {
 	for {
-		resp, err := t.Evaluate(ctx, req, routeKey)
+		resp, err := t.Evaluate(ctx, p, routeKey)
 		wait, shed := t.Shed(err)
 		if err == nil || !shed {
 			return resp, err

@@ -171,11 +171,12 @@ func New(cfg Config) *Server {
 		WriteJSON:  s.writeJSON,
 		WriteError: s.writeError,
 		StreamLine: s.metrics.streamLines.Inc,
-		// Job evaluations take the ordinary evaluatePoint path — result
-		// cache, worker-slot admission — with the chaos middleware
-		// bypassed: jobs are internal work, not requests.
-		Evaluate: func(ctx context.Context, req EvaluateRequest, _ string) (EvaluateResponse, error) {
-			return s.evaluatePoint(ctx, req)
+		// Job evaluations take the ordinary evaluation path — result
+		// cache, worker-slot admission — from the point the job
+		// resolved, with the chaos middleware bypassed: jobs are
+		// internal work, not requests.
+		Evaluate: func(ctx context.Context, p JobPoint, _ string) (EvaluateResponse, error) {
+			return s.evaluateResolved(ctx, p.Point)
 		},
 		Shed: func(err error) (time.Duration, bool) {
 			var ae *apiError
@@ -568,52 +569,72 @@ func resolveRequestFaults(req EvaluateRequest, cfg arch.SystemConfig) (*faults.F
 	return &fs, nil
 }
 
-// evaluatePoint resolves and evaluates one request, serving every
-// (config, network) pair it can from the cache and running the rest on
-// the worker pool in one evaluation fan-out. Requests carrying a fault
-// set evaluate the degraded machine; their cache keys get the fault
-// set's hash appended, so degraded reports never masquerade as healthy.
+// resolve turns a request into the point it names: the validated config
+// and its hash, the fault set, and the networks with their content
+// hashes. Hashing happens here, once per request, under the
+// serve.resolve span; a request the pipeline refuses is a 400 (a 422 for
+// an inline spec past the limits).
+func (s *Server) resolve(ctx context.Context, req EvaluateRequest) (sim.Point, error) {
+	span := obs.StartSpan(ctx, "serve.resolve")
+	defer span.End()
+	cfg, err := resolveRequestConfig(req)
+	if err != nil {
+		return sim.Point{}, BadRequest(err)
+	}
+	fs, err := resolveRequestFaults(req, cfg)
+	if err != nil {
+		return sim.Point{}, BadRequest(err)
+	}
+	nets, err := resolveRequestNetworks(req, s.cfg.Limits)
+	if err != nil {
+		return sim.Point{}, BadRequest(err)
+	}
+	p, err := sim.ResolvePoint(cfg, nets)
+	if err != nil {
+		return sim.Point{}, err
+	}
+	span.SetAttr("config", cfg.Name)
+	p.Faults = fs
+	return p, nil
+}
+
+// evaluatePoint resolves and evaluates one request.
 func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (EvaluateResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return EvaluateResponse{}, err
 	}
-	resolveSpan := obs.StartSpan(ctx, "serve.resolve")
-	cfg, err := resolveRequestConfig(req)
+	p, err := s.resolve(ctx, req)
 	if err != nil {
-		resolveSpan.End()
-		return EvaluateResponse{}, BadRequest(err)
+		return EvaluateResponse{}, err
 	}
-	fs, err := resolveRequestFaults(req, cfg)
-	if err != nil {
-		resolveSpan.End()
-		return EvaluateResponse{}, BadRequest(err)
-	}
-	nets, err := resolveRequestNetworks(req, s.cfg.Limits)
-	if err != nil {
-		resolveSpan.End()
-		return EvaluateResponse{}, BadRequest(err)
-	}
-	hash, err := arch.ConfigHash(cfg)
-	resolveSpan.SetAttr("config", cfg.Name)
-	resolveSpan.End()
-	if err != nil {
+	return s.evaluateResolved(ctx, p)
+}
+
+// evaluateResolved evaluates a resolved point, serving every network it
+// can from the cache and running the rest on the worker pool in one
+// evaluation fan-out. A point carrying a fault set evaluates the
+// degraded machine; its cache keys get the fault set's hash appended,
+// so degraded reports never masquerade as healthy. Requests reach it
+// through resolve; jobs hand it the points they resolved themselves.
+func (s *Server) evaluateResolved(ctx context.Context, p sim.Point) (EvaluateResponse, error) {
+	if err := ctx.Err(); err != nil {
 		return EvaluateResponse{}, err
 	}
 	resp := EvaluateResponse{
-		Config:        cfg.Name,
-		ConfigHash:    hash,
-		Networks:      make([]string, len(nets)),
-		NetworkHashes: make([]string, len(nets)),
-		Reports:       make([]arch.Report, len(nets)),
+		Config:        p.Config.Name,
+		ConfigHash:    p.ConfigHash,
+		Networks:      make([]string, len(p.Networks)),
+		NetworkHashes: p.NetworkHashes,
+		Reports:       make([]arch.Report, len(p.Networks)),
 	}
-	point, err := pointKey(hash, fs)
+	point, err := pointKey(p.ConfigHash, p.Faults)
 	if err != nil {
 		return EvaluateResponse{}, err
 	}
-	if fs != nil {
+	if p.Faults != nil {
 		// The remapping record is cheap to recompute, so full cache hits
 		// still answer with an honest Degradation block.
-		_, deg, err := fs.Degrade(cfg)
+		_, deg, err := p.Faults.Degrade(p.Config)
 		if err != nil {
 			return EvaluateResponse{}, BadRequest(err)
 		}
@@ -624,15 +645,9 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 	var missing []nn.Network
 	var missingIdx []int
 	var missingKeys []string
-	for i, net := range nets {
+	for i, net := range p.Networks {
 		resp.Networks[i] = net.Name
-		netHash, err := nn.NetworkHash(net)
-		if err != nil {
-			lookupSpan.End()
-			return EvaluateResponse{}, err
-		}
-		resp.NetworkHashes[i] = netHash
-		key := cacheKey(point, netHash)
+		key := cacheKey(point, p.NetworkHashes[i])
 		if r, ok := s.cache.Get(key); ok {
 			resp.Reports[i] = r
 			resp.CacheHits++
@@ -666,8 +681,8 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 		evalSpan.SetAttr("networks", len(missing))
 		evalStart := time.Now()
 		var reports []arch.Report
-		if fs != nil {
-			degraded, derr := faults.EvaluateAllCtx(ctx, cfg, *fs, missing)
+		if p.Faults != nil {
+			degraded, derr := faults.EvaluateAllCtx(ctx, p.Config, *p.Faults, missing)
 			err = derr
 			if derr == nil {
 				reports = make([]arch.Report, len(degraded))
@@ -676,7 +691,7 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 				}
 			}
 		} else {
-			reports, err = arch.EvaluateAllCtx(ctx, cfg, missing)
+			reports, err = arch.EvaluateAllCtx(ctx, p.Config, missing)
 		}
 		s.metrics.evaluate.Observe(time.Since(evalStart).Seconds())
 		evalSpan.End()

@@ -66,6 +66,7 @@ func (c *Client) sweepStreamOnce(ctx context.Context, body []byte, fn func(serve
 			Status:    resp.StatusCode,
 			Message:   serverMessage(data),
 			RequestID: resp.Header.Get("X-Request-ID"),
+			Body:      data,
 		}
 	}
 	dec := json.NewDecoder(resp.Body)
@@ -105,8 +106,10 @@ type HedgeResult struct {
 // sequential failover. The first success cancels every other attempt and
 // wins; canceled losers settle their breakers neutrally (see
 // settleOutcome), so hedging never poisons a healthy shard's breaker.
-// The winner's body comes back undecoded (HedgeResult.Body). All targets
-// failing returns the joined per-target errors.
+// The winner's body comes back undecoded (HedgeResult.Body). A refusal
+// (see Refusal) ends the call with that StatusError: every target would
+// refuse the same request. All targets failing returns the joined
+// per-target errors.
 func EvaluateHedged(ctx context.Context, targets []*Client, delay time.Duration, req serve.EvaluateRequest) (HedgeResult, error) {
 	if len(targets) == 0 {
 		return HedgeResult{}, errors.New("serveclient: hedged call needs at least one target")
@@ -154,6 +157,9 @@ func EvaluateHedged(ctx context.Context, targets []*Client, delay time.Duration,
 			pending--
 			if out.err == nil {
 				return HedgeResult{Body: out.body, Target: out.idx, Attempts: launched, Hedged: launched > 1}, nil
+			}
+			if se, ok := Refusal(out.err); ok {
+				return HedgeResult{Attempts: launched, Hedged: launched > 1}, se
 			}
 			errs = append(errs, fmt.Errorf("target %d: %w", out.idx, out.err))
 			if launched < len(targets) {

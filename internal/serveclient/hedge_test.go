@@ -238,3 +238,42 @@ func TestSweepStreamStatusError(t *testing.T) {
 		t.Errorf("got %v, want a 422 StatusError", err)
 	}
 }
+
+// TestEvaluateHedgedStopsAtRefusal: a 4xx other than 429 is the
+// request's fault, so the hedge returns that StatusError, body and all,
+// without trying the backup, and the refusing shard's breaker counts it
+// as a healthy answer. A 429 still fails over.
+func TestEvaluateHedgedStopsAtRefusal(t *testing.T) {
+	const refusal = `{"Error": "no healthy compute path remains", "Status": 400}`
+	var backupCalls atomic.Int64
+	primary, _ := testClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadRequest)
+		fmt.Fprint(w, refusal)
+	}), func(cfg *Config) {
+		cfg.MaxRetries = -1
+		cfg.BreakerThreshold = 1
+	})
+	backup := hedgeClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		backupCalls.Add(1)
+		fmt.Fprint(w, `{"Config": "backup"}`)
+	}))
+	_, err := EvaluateHedged(context.Background(), []*Client{primary, backup}, 0, serve.EvaluateRequest{Preset: "fb"})
+	se, ok := Refusal(err)
+	if !ok || se.Status != http.StatusBadRequest || string(se.Body) != refusal {
+		t.Fatalf("got %v, want the primary's 400 with its body", err)
+	}
+	if backupCalls.Load() != 0 {
+		t.Errorf("refused request failed over to the backup %d times", backupCalls.Load())
+	}
+	if st := primary.Stats(); st.BreakerOpens != 0 {
+		t.Errorf("a refusal opened the breaker: %+v", st)
+	}
+
+	shedding := hedgeClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "busy", http.StatusTooManyRequests)
+	}))
+	res, err := EvaluateHedged(context.Background(), []*Client{shedding, backup}, 0, serve.EvaluateRequest{Preset: "fb"})
+	if err != nil || winner(t, res) != "backup" {
+		t.Errorf("shed primary: got %+v, %v; want the backup to win", res, err)
+	}
+}

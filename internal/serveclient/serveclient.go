@@ -98,6 +98,9 @@ type StatusError struct {
 	// response ("" when none was sent) — quote it to correlate the
 	// failure with the server's logs, spans and metrics.
 	RequestID string
+	// Body is the response body as the server sent it (nil when the
+	// request never got an answer).
+	Body []byte
 }
 
 // Error implements the error interface.
@@ -106,6 +109,18 @@ func (e *StatusError) Error() string {
 		return fmt.Sprintf("serveclient: server answered %d (request %s): %s", e.Status, e.RequestID, e.Message)
 	}
 	return fmt.Sprintf("serveclient: server answered %d: %s", e.Status, e.Message)
+}
+
+// Refusal returns err's StatusError when the server refused the request
+// itself: a 4xx other than 429. A refusal proves the server healthy, and
+// every equivalent server refuses the same request the same way, so it
+// is neither a breaker failure nor a reason to fail over.
+func Refusal(err error) (*StatusError, bool) {
+	var se *StatusError
+	if errors.As(err, &se) && se.Status >= 400 && se.Status < 500 && se.Status != http.StatusTooManyRequests {
+		return se, true
+	}
+	return nil, false
 }
 
 // Stats are the client's cumulative counters — the observable record of
@@ -302,10 +317,13 @@ func (c *Client) admit() error {
 // caused by our own context being canceled is neutral — neither success
 // nor failure — because it says nothing about the server's health. This
 // matters under hedging: when a fast shard wins, the canceled loser must
-// not push its (perfectly healthy) shard's breaker toward open.
+// not push its (perfectly healthy) shard's breaker toward open. A
+// refusal (see Refusal) is a healthy server judging a bad request, so it
+// counts as a success.
 func (c *Client) settleOutcome(ctx context.Context, err error) {
+	_, refused := Refusal(err)
 	switch {
-	case err == nil:
+	case err == nil || refused:
 		c.settle(true)
 	case ctx.Err() != nil:
 		c.settleAbandoned()
@@ -407,7 +425,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte) (
 		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		return nil, retryAfter, fmt.Errorf("serveclient: transient %d (request %s): %s", resp.StatusCode, reqID, msg)
 	default:
-		return nil, 0, &StatusError{Status: resp.StatusCode, Message: msg, RequestID: reqID}
+		return nil, 0, &StatusError{Status: resp.StatusCode, Message: msg, RequestID: reqID, Body: data}
 	}
 }
 
