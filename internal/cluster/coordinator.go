@@ -438,7 +438,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			res.err = decodeShardBody(res.body, &p.EvaluateResponse)
 		}
 		if res.err != nil {
-			*p = serve.SweepPointResult{Error: res.err.Error()}
+			*p = serve.SweepPointResult{Error: pointError(res.err)}
 		}
 	}
 	c.writeJSON(w, http.StatusOK, resp)
@@ -471,7 +471,7 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, n int, results <-chan p
 			line.WriteByte('\n')
 		} else {
 			errLine := serve.SweepStreamLine{Index: res.index}
-			errLine.Error = res.err.Error()
+			errLine.Error = pointError(res.err)
 			json.NewEncoder(&line).Encode(errLine) //nolint:errcheck // a bytes.Buffer never fails
 		}
 		if _, err := w.Write(line.Bytes()); err != nil {
@@ -480,6 +480,16 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, n int, results <-chan p
 		c.metrics.stream.Inc()
 		rc.Flush() //nolint:errcheck // an unflushable writer just buffers
 	}
+}
+
+// pointError is a failed sweep point's inline Error. A shard's refusal
+// of the point carries the shard's own message, the one a worker's
+// sweep writes for that point; any other failure its whole error.
+func pointError(err error) string {
+	if se, ok := serveclient.Refusal(err); ok {
+		return se.Message
+	}
+	return err.Error()
 }
 
 // HealthResponse is the coordinator's /healthz payload.

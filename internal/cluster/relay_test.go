@@ -323,3 +323,34 @@ func TestRefusalRelayedFromOneShard(t *testing.T) {
 		t.Errorf("refused point reached shards %d times, want 1", reached)
 	}
 }
+
+// TestCoordinatorSweepRelaysShardRefusal: a sweep point the shard
+// refuses (every RFCU dead) carries the worker's own message, so the
+// coordinator's sweep is byte-identical to a worker's on the buffered
+// and the NDJSON lane alike. Each lane starts from cold caches.
+func TestCoordinatorSweepRelaysShardRefusal(t *testing.T) {
+	sweep := `{"Points": [` + deadChipRequest(t) + `, {"Preset": "fb", "Network": "ResNet-18"}]}`
+	_, url, _, _ := testCluster(t, 2, nil)
+	cs, cb := postJSON(t, url+"/v1/sweep", sweep)
+	ws, wb := postJSON(t, referenceWorker(t)+"/v1/sweep", sweep)
+	if cs != http.StatusOK || ws != http.StatusOK {
+		t.Fatalf("coordinator %d, worker %d\n%s\n%s", cs, ws, cb, wb)
+	}
+	if !bytes.Contains(wb, []byte(`"Error":`)) {
+		t.Fatalf("the worker served the dead chip: %s", wb)
+	}
+	if !bytes.Equal(cb, wb) {
+		t.Errorf("buffered sweep differs:\n%s\n%s", cb, wb)
+	}
+	_, url, _, _ = testCluster(t, 2, nil)
+	got := streamLines(t, url, sweep)
+	want := streamLines(t, referenceWorker(t), sweep)
+	if len(got) != 2 || len(want) != 2 {
+		t.Fatalf("coordinator streamed %d lines, worker %d, want 2 each", len(got), len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("line %d differs:\n%s%s", i, got[i], want[i])
+		}
+	}
+}

@@ -46,7 +46,7 @@ func (evolveStrategy) Propose(rng *rand.Rand, pc ProposalContext) []Candidate {
 		}
 		return out
 	}
-	rank, crowd := rankAndCrowd(pc.Spec, pc.History)
+	rank, crowd := pc.ranker.rank(pc.History)
 	tournament := func() Candidate {
 		a, b := rng.Intn(len(pc.History)), rng.Intn(len(pc.History))
 		if rank[b] < rank[a] || (rank[b] == rank[a] && crowd[b] > crowd[a]) {
@@ -54,7 +54,7 @@ func (evolveStrategy) Propose(rng *rand.Rand, pc ProposalContext) []Candidate {
 		}
 		return pc.History[a].Candidate
 	}
-	champions := axisChampions(pc.Spec, pc.History)
+	champions := axisChampions(pc.History, pc.ranker.vecs, len(pc.Spec.Objectives))
 	parent := func() Candidate {
 		// Half the picks breed from an axis champion — the history
 		// point best on one objective — pushing the front's corners
@@ -96,17 +96,18 @@ func (evolveStrategy) Propose(rng *rand.Rand, pc ProposalContext) []Candidate {
 
 // axisChampions returns, per objective, the valid feasible history
 // candidate with the best value on that axis alone (canonical-order
-// first on ties, so the set is deterministic).
-func axisChampions(spec Spec, hist []CandidateResult) []Candidate {
+// first on ties, so the set is deterministic). vecs[i] is hist[i]'s
+// objective vector over nObj objectives.
+func axisChampions(hist []CandidateResult, vecs [][]float64, nObj int) []Candidate {
 	var champs []Candidate
-	for k := range spec.Objectives {
+	for k := 0; k < nObj; k++ {
 		best := -1
 		bestV := 0.0
 		for i, r := range hist {
 			if r.Invalid || !r.Feasible {
 				continue
 			}
-			if v := spec.objectiveVector(r.Metrics)[k]; best < 0 || v > bestV {
+			if v := vecs[i][k]; best < 0 || v > bestV {
 				best, bestV = i, v
 			}
 		}

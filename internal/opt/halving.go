@@ -40,7 +40,7 @@ func (halvingStrategy) Propose(rng *rand.Rand, pc ProposalContext) []Candidate {
 		}
 		return out
 	}
-	rank, crowd := rankAndCrowd(pc.Spec, pc.History)
+	rank, crowd := pc.ranker.rank(pc.History)
 	var prev []int
 	for i, r := range pc.History {
 		if r.Gen == pc.Gen-1 {

@@ -128,85 +128,157 @@ func hvRecurse(points [][]float64, ref []float64, d int) float64 {
 	return total
 }
 
-// rankAndCrowd performs NSGA-II non-dominated sorting with constraint
+// ranker performs NSGA-II non-dominated sorting with constraint
 // domination (Deb's rules): a valid point beats an invalid one, a
 // feasible point beats an infeasible one, infeasible points compare by
 // budget violation (strictly smaller dominates), and feasible points
-// compare by Pareto dominance on the spec's objectives. rank[i] is the
-// index of the front record i falls in (0 = best), crowd[i] its crowding
-// distance within that front (larger = more isolated; boundary points
-// get +Inf). Each record's objective vector and violation are computed
-// once, the O(n²) comparisons run on indices, and who dominates whom is
-// kept in one n×n bitset rather than n growing lists. Used by the
-// evolutionary and halving strategies to order survivors.
-func rankAndCrowd(spec Spec, recs []CandidateResult) (rank []int, crowd []float64) {
-	n := len(recs)
-	vecs := make([][]float64, n)
-	viol := make([]float64, n)
-	for i, r := range recs {
-		vecs[i] = spec.objectiveVector(r.Metrics)
-		viol[i] = spec.violation(r.Metrics)
+// compare by Pareto dominance on the spec's objectives.
+//
+// One Runner.Run owns one ranker, and each generation hands it a history
+// that extends the last one by the records just evaluated. It keeps each
+// ranked record's objective vector and violation, who dominates whom as
+// one n×n bitset, and how many records dominate each one, so a call
+// classifies only the pairs that involve a new record — each unordered
+// pair once. Ranking stays a pure function of the history: one that does
+// not extend the ranked prefix (same length prefix, same (Gen, Index) at
+// every kept position) is ranked from scratch, with the same result.
+type ranker struct {
+	spec   Spec
+	stride int // words per bitset row, sized to the search budget
+
+	recs      []rankRec
+	vecs      [][]float64 // each ranked record's objective vector
+	dominates []uint64    // row i: the records i dominates
+	dominated []int       // how many ranked records dominate i
+
+	// Scratch reused by every call.
+	count, buf, order []int
+}
+
+// rankRec is what domination needs of one ranked record.
+type rankRec struct {
+	cell
+	invalid, feasible bool
+	viol              float64
+}
+
+// newRanker returns an empty ranker for spec's objectives and budgets,
+// its bitset rows sized to hold the spec's whole Generations x
+// Population budget.
+func newRanker(spec Spec) *ranker {
+	return &ranker{spec: spec, stride: (spec.Generations*spec.Population + 63) / 64}
+}
+
+// rank returns each record's front index (rank[i], 0 = best) and its
+// crowding distance within that front (crowd[i]; larger = more
+// isolated, boundary points get +Inf). recs must be in canonical
+// (Gen, Index) order. After the call, rk.vecs[i] is recs[i]'s objective
+// vector.
+func (rk *ranker) rank(recs []CandidateResult) (rank []int, crowd []float64) {
+	if !rk.extends(recs) || len(recs) > rk.stride*64 {
+		rk.reset(len(recs))
 	}
-	dominatesIdx := func(a, b int) bool {
-		ra, rb := &recs[a], &recs[b]
-		switch {
-		case ra.Invalid:
+	for _, r := range recs[len(rk.recs):] {
+		rk.add(r)
+	}
+	return rk.peel()
+}
+
+// extends reports whether recs continues the ranked history.
+func (rk *ranker) extends(recs []CandidateResult) bool {
+	if len(recs) < len(rk.recs) {
+		return false
+	}
+	for i, k := range rk.recs {
+		if recs[i].Gen != k.gen || recs[i].Index != k.index {
 			return false
-		case rb.Invalid:
-			return true
-		case ra.Feasible && !rb.Feasible:
-			return true
-		case !ra.Feasible && rb.Feasible:
-			return false
-		case !ra.Feasible:
-			return viol[a] < viol[b]
-		default:
-			return Dominates(vecs[a], vecs[b])
 		}
 	}
+	return true
+}
+
+// reset forgets every ranked record, widening the rows when n records
+// would not fit.
+func (rk *ranker) reset(n int) {
+	if w := (n + 63) / 64; w > rk.stride {
+		rk.stride = w
+	}
+	rk.recs, rk.vecs, rk.dominates, rk.dominated = rk.recs[:0], rk.vecs[:0], rk.dominates[:0], rk.dominated[:0]
+}
+
+// dominatesIdx reports whether ranked record a constraint-dominates b.
+func (rk *ranker) dominatesIdx(a, b int) bool {
+	ra, rb := &rk.recs[a], &rk.recs[b]
+	switch {
+	case ra.invalid:
+		return false
+	case rb.invalid:
+		return true
+	case ra.feasible && !rb.feasible:
+		return true
+	case !ra.feasible && rb.feasible:
+		return false
+	case !ra.feasible:
+		return ra.viol < rb.viol
+	default:
+		return Dominates(rk.vecs[a], rk.vecs[b])
+	}
+}
+
+// add ranks r against every kept record.
+func (rk *ranker) add(r CandidateResult) {
+	j := len(rk.recs)
+	rk.recs = append(rk.recs, rankRec{cell: cell{r.Gen, r.Index}, invalid: r.Invalid, feasible: r.Feasible, viol: rk.spec.violation(r.Metrics)})
+	rk.vecs = append(rk.vecs, rk.spec.objectiveVector(r.Metrics))
+	rk.dominates = append(rk.dominates, make([]uint64, rk.stride)...)
+	rk.dominated = append(rk.dominated, 0)
+	for i := 0; i < j; i++ {
+		if rk.dominatesIdx(i, j) {
+			rk.dominates[i*rk.stride+j/64] |= 1 << (j % 64)
+			rk.dominated[j]++
+		} else if rk.dominatesIdx(j, i) {
+			rk.dominates[j*rk.stride+i/64] |= 1 << (i % 64)
+			rk.dominated[i]++
+		}
+	}
+}
+
+// peel walks the kept matrix front by front on a copy of the dominated
+// counts, crowding each front as it is completed.
+func (rk *ranker) peel() (rank []int, crowd []float64) {
+	n := len(rk.recs)
 	rank = make([]int, n)
 	crowd = make([]float64, n)
-	dominated := make([]int, n) // how many records dominate i
-	words := (n + 63) / 64
-	dominates := make([]uint64, n*words) // row i: the records i dominates
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if dominatesIdx(i, j) {
-				dominates[i*words+j/64] |= 1 << (j % 64)
-			} else if dominatesIdx(j, i) {
-				dominated[i]++
-			}
-		}
+	if cap(rk.buf) < n {
+		rk.buf, rk.order = make([]int, 0, n), make([]int, n)
 	}
+	count := append(rk.count[:0], rk.dominated...)
 	// Fronts partition the records, so one buffer of n holds the current
 	// front at its start and collects the next one behind it.
-	buf := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if dominated[i] == 0 {
+	buf := rk.buf[:0]
+	for i, c := range count {
+		if c == 0 {
 			buf = append(buf, i)
 		}
 	}
-	order := make([]int, n)
 	for r, start := 0, 0; start < len(buf); r++ {
 		current := buf[start:len(buf):len(buf)]
 		for _, i := range current {
 			rank[i] = r
-			for w, set := range dominates[i*words : (i+1)*words] {
+			for w, set := range rk.dominates[i*rk.stride : (i+1)*rk.stride] {
 				for ; set != 0; set &= set - 1 {
 					j := w*64 + bits.TrailingZeros64(set)
-					dominated[j]--
-					if dominated[j] == 0 {
+					count[j]--
+					if count[j] == 0 {
 						buf = append(buf, j)
 					}
 				}
 			}
 		}
-		crowdFront(vecs, len(spec.Objectives), current, order[:len(current)], crowd)
+		crowdFront(rk.vecs, len(rk.spec.Objectives), current, rk.order[:len(current)], crowd)
 		start += len(current)
 	}
+	rk.count = count
 	return rank, crowd
 }
 

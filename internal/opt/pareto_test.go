@@ -1,9 +1,12 @@
 package opt
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -193,7 +196,7 @@ func TestRankAndCrowd(t *testing.T) {
 		{Feasible: false, Metrics: Metrics{FPS: 9, FPSPerWatt: 9, AreaMM2: 500}},
 	}
 	spec.AreaBudgetMM2 = 100
-	rank, crowd := rankAndCrowd(spec, recs)
+	rank, crowd := newRanker(spec).rank(recs)
 	if rank[0] != 0 || rank[1] != 0 {
 		t.Errorf("non-dominated feasible points should rank 0, got %v", rank)
 	}
@@ -213,7 +216,8 @@ func TestRankAndCrowd(t *testing.T) {
 
 // dominatesRecRef, rankAndCrowdRef and crowdFrontRef are the original
 // ranking, which re-projects both records' objective vectors on every
-// comparison: the oracle the precomputed-vector rankAndCrowd must match.
+// comparison and re-ranks the whole history from scratch: the oracle
+// the incremental ranker must match.
 func dominatesRecRef(spec Spec, a, b CandidateResult) bool {
 	switch {
 	case a.Invalid:
@@ -301,44 +305,166 @@ func crowdFrontRef(spec Spec, recs []CandidateResult, front []int, crowd []float
 	}
 }
 
+// randHistory draws a canonical-order history of n records, gen records
+// per generation, mixing invalid, infeasible and duplicate-objective
+// records. Fractional steps make crowding sums round, so bit identity
+// depends on summing in the reference order.
+func randHistory(rng *rand.Rand, spec Spec, n, gen int) []CandidateResult {
+	recs := make([]CandidateResult, n)
+	for i := range recs {
+		r := CandidateResult{Gen: i / gen, Index: i % gen}
+		switch {
+		case rng.Intn(8) == 0:
+			r.Invalid = true
+		case i > 0 && rng.Intn(4) == 0:
+			r.Metrics = recs[rng.Intn(i)].Metrics // duplicate objectives
+		default:
+			m := &r.Metrics
+			for _, v := range []*float64{&m.FPS, &m.FPSPerWatt, &m.FPSPerMM2, &m.PAP, &m.Yield} {
+				*v = float64(rng.Intn(5)) / 3
+			}
+			m.AreaMM2, m.PowerW = float64(1+rng.Intn(6)), float64(1+rng.Intn(6))
+		}
+		r.Feasible = !r.Invalid && spec.feasible(r.Metrics)
+		recs[i] = r
+	}
+	return recs
+}
+
+// randRankSpec draws a spec over a random non-empty objective subset,
+// with budgets that make some records infeasible.
+func randRankSpec(rng *rand.Rand) Spec {
+	all := []Objective{ObjectiveFPS, ObjectiveFPSPerWatt, ObjectiveFPSPerMM2, ObjectivePAP, ObjectiveYield}
+	spec := Spec{AreaBudgetMM2: 4, PowerBudgetW: 4}
+	for _, p := range rng.Perm(len(all))[:1+rng.Intn(len(all))] {
+		spec.Objectives = append(spec.Objectives, all[p])
+	}
+	return spec
+}
+
+// checkRanked fails unless the ranker's answer for recs matches the
+// reference ranks and crowding distances bit for bit.
+func checkRanked(t *testing.T, what string, rk *ranker, spec Spec, recs []CandidateResult) {
+	t.Helper()
+	rank, crowd := rk.rank(recs)
+	wantRank, wantCrowd := rankAndCrowdRef(spec, recs)
+	if len(rank) != len(recs) || len(crowd) != len(recs) {
+		t.Fatalf("%s: %d ranks, %d crowding distances for %d records", what, len(rank), len(crowd), len(recs))
+	}
+	for i := range recs {
+		if rank[i] != wantRank[i] || math.Float64bits(crowd[i]) != math.Float64bits(wantCrowd[i]) {
+			t.Fatalf("%s: record %d: rank %d crowd %v, reference %d %v", what, i, rank[i], crowd[i], wantRank[i], wantCrowd[i])
+		}
+	}
+	for i, r := range recs {
+		if !vecEqual(rk.vecs[i], spec.objectiveVector(r.Metrics)) {
+			t.Fatalf("%s: record %d: kept vector %v, want %v", what, i, rk.vecs[i], spec.objectiveVector(r.Metrics))
+		}
+	}
+}
+
 // TestRankAndCrowdMatchesReference: over seeded random histories mixing
-// invalid, infeasible and duplicate-objective records, rankAndCrowd
+// invalid, infeasible and duplicate-objective records, a fresh ranker
 // returns the reference ranks and bit-identical crowding distances.
 func TestRankAndCrowdMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	all := []Objective{ObjectiveFPS, ObjectiveFPSPerWatt, ObjectiveFPSPerMM2, ObjectivePAP, ObjectiveYield}
 	for trial := 0; trial < 300; trial++ {
-		perm := rng.Perm(len(all))[:1+rng.Intn(len(all))]
-		spec := Spec{AreaBudgetMM2: 4, PowerBudgetW: 4}
-		for _, p := range perm {
-			spec.Objectives = append(spec.Objectives, all[p])
+		spec := randRankSpec(rng)
+		checkRanked(t, fmt.Sprintf("trial %d", trial), newRanker(spec), spec, randHistory(rng, spec, rng.Intn(160), 8))
+	}
+}
+
+// TestRankerIncrementalMatchesReference: one ranker fed a history
+// generation by generation, as a search does, matches the reference at
+// every generation — whether its rows were sized for the whole budget
+// or must widen, whether it is first called mid-search (a resume), and
+// after a history that does not extend the ranked one forces a rebuild.
+func TestRankerIncrementalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 40; trial++ {
+		spec := randRankSpec(rng)
+		pop := 8 + rng.Intn(40)
+		gens := 3 + rng.Intn(6) // histories up to 376 records: rows span several words
+		if trial%2 == 0 {
+			spec.Generations, spec.Population = gens, pop // rows sized once for the budget
+		} // else a zero budget: every growth past a row width rebuilds wider
+		hist := randHistory(rng, spec, gens*pop, pop)
+		rk := newRanker(spec)
+		for g := 1; g <= gens; g++ {
+			checkRanked(t, fmt.Sprintf("trial %d gen %d", trial, g), rk, spec, hist[:g*pop])
 		}
-		recs := make([]CandidateResult, rng.Intn(160))
-		for i := range recs {
-			r := CandidateResult{Gen: i / 8, Index: i % 8}
-			switch {
-			case rng.Intn(8) == 0:
-				r.Invalid = true
-			case i > 0 && rng.Intn(4) == 0:
-				r.Metrics = recs[rng.Intn(i)].Metrics // duplicate objectives
-			default:
-				// Fractional steps make crowding sums round, so bit
-				// identity depends on summing in the reference order.
-				m := &r.Metrics
-				for _, v := range []*float64{&m.FPS, &m.FPSPerWatt, &m.FPSPerMM2, &m.PAP, &m.Yield} {
-					*v = float64(rng.Intn(5)) / 3
+
+		// Resume: a fresh ranker's first history is already mid-search.
+		mid := 1 + rng.Intn(gens)
+		rk = newRanker(spec)
+		for g := mid; g <= gens; g++ {
+			checkRanked(t, fmt.Sprintf("trial %d resumed at gen %d, gen %d", trial, mid, g), rk, spec, hist[:g*pop])
+		}
+
+		// Not an extension: a shorter history, then one whose kept prefix
+		// names other cells, then growth again from each.
+		checkRanked(t, fmt.Sprintf("trial %d shrunk", trial), rk, spec, hist[:pop])
+		checkRanked(t, fmt.Sprintf("trial %d regrown", trial), rk, spec, hist[:2*pop])
+		other := randHistory(rng, spec, gens*pop, pop)
+		other[rng.Intn(2*pop)].Index += gens * pop // same length, different cell
+		checkRanked(t, fmt.Sprintf("trial %d diverged", trial), rk, spec, other[:2*pop])
+		checkRanked(t, fmt.Sprintf("trial %d diverged, extended", trial), rk, spec, other)
+	}
+}
+
+// TestRankerMatchesReferenceOverSearches replays the histories real
+// evolve and halving searches grow, through one ranker per search as
+// Runner.Run does, against the reference at every generation. The grid
+// includes invalid cells (Reuses 0 on a feedback base) and an area
+// budget that leaves some points infeasible; revisited cells give
+// duplicate objectives.
+func TestRankerMatchesReferenceOverSearches(t *testing.T) {
+	for _, strategy := range []string{StrategyEvolve, StrategyHalving} {
+		t.Run(strategy, func(t *testing.T) {
+			spec := Spec{
+				Preset:        "fb",
+				Network:       "ResNet-50",
+				Strategy:      strategy,
+				Generations:   5,
+				Population:    40,
+				Seed:          5,
+				Space:         Space{Reuses: []int{0, 1, 7, 15}},
+				AreaBudgetMM2: 150,
+			}.WithDefaults()
+			id, err := spec.ID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var all []CandidateResult
+			r := &Runner{Spec: spec, ID: id, Eval: DirectEval(), Parallelism: 2, Hooks: Hooks{
+				PointExecuted: func(c CandidateResult) {
+					mu.Lock()
+					all = append(all, c)
+					mu.Unlock()
+				},
+			}}
+			if _, err := r.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			sortResults(all)
+			var invalid, infeasible int
+			for _, c := range all {
+				switch {
+				case c.Invalid:
+					invalid++
+				case !c.Feasible:
+					infeasible++
 				}
-				m.AreaMM2, m.PowerW = float64(1+rng.Intn(6)), float64(1+rng.Intn(6))
 			}
-			r.Feasible = !r.Invalid && spec.feasible(r.Metrics)
-			recs[i] = r
-		}
-		rank, crowd := rankAndCrowd(spec, recs)
-		wantRank, wantCrowd := rankAndCrowdRef(spec, recs)
-		for i := range recs {
-			if rank[i] != wantRank[i] || math.Float64bits(crowd[i]) != math.Float64bits(wantCrowd[i]) {
-				t.Fatalf("trial %d record %d: rank %d crowd %v, reference %d %v", trial, i, rank[i], crowd[i], wantRank[i], wantCrowd[i])
+			if invalid == 0 || infeasible == 0 || len(all) <= 64 {
+				t.Fatalf("history of %d records, %d invalid, %d infeasible: the grid no longer exercises every ranking case", len(all), invalid, infeasible)
 			}
-		}
+			rk := newRanker(spec)
+			for gen := 1; gen < spec.Generations; gen++ {
+				n := sort.Search(len(all), func(i int) bool { return all[i].Gen >= gen })
+				checkRanked(t, fmt.Sprintf("gen %d", gen), rk, spec, all[:n])
+			}
+		})
 	}
 }

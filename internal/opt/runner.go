@@ -265,9 +265,10 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		r.update(Update{Type: "point", Completed: resumed, Total: total})
 	}
 
+	rk := newRanker(spec)
 	executed := 0
 	for gen := 0; gen < spec.Generations; gen++ {
-		cands := r.proposals(strat, g, done, gen)
+		cands := r.proposals(strat, g, rk, done, gen)
 		var pending []int
 		for i := range cands {
 			if _, ok := done[cell{gen, i}]; !ok {
@@ -308,7 +309,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // proposals replays generation gen's candidate list: a deterministic
 // function of (spec, strategy, history), which is what lets a resumed
 // search re-derive the exact schedule its checkpointed cells belong to.
-func (r *Runner) proposals(strat Strategy, g *grid, done map[cell]CandidateResult, gen int) []Candidate {
+func (r *Runner) proposals(strat Strategy, g *grid, rk *ranker, done map[cell]CandidateResult, gen int) []Candidate {
 	var hist []CandidateResult
 	for _, c := range done {
 		if c.Gen < gen {
@@ -323,6 +324,7 @@ func (r *Runner) proposals(strat Strategy, g *grid, done map[cell]CandidateResul
 		Budget:  r.Spec.Population,
 		History: hist,
 		grid:    g,
+		ranker:  rk,
 	}
 	rng := rand.New(rand.NewSource(generationSeed(r.Spec.Seed, gen)))
 	cands := strat.Propose(rng, pc)
@@ -371,20 +373,20 @@ func (r *Runner) runPoint(ctx context.Context, spec Spec, g *grid, gen, idx int,
 		NLambda:   l,
 		Reuses:    reuses,
 	}
-	cfg, err := g.config(cand)
-	if err != nil {
+	p := g.point(cand)
+	if p.invalid != nil {
 		c.Invalid = true
-		c.Note = err.Error()
+		c.Note = p.invalid.Error()
 		return c, nil
 	}
+	cfg := p.cfg
 	c.Config = cfg.Name
-	hash, err := arch.ConfigHash(cfg)
-	if err != nil {
-		return CandidateResult{}, fmt.Errorf("opt: cell (%d,%d): %w", gen, idx, err)
+	if p.hashErr != nil {
+		return CandidateResult{}, fmt.Errorf("opt: cell (%d,%d): %w", gen, idx, p.hashErr)
 	}
-	c.ConfigHash = hash
+	c.ConfigHash = p.hash
 
-	pm, err := r.Eval(ctx, spec, cfg, hash)
+	pm, err := r.Eval(ctx, spec, cfg, p.hash)
 	if err != nil {
 		return CandidateResult{}, fmt.Errorf("opt: cell (%d,%d) %s: %w", gen, idx, cfg.Name, err)
 	}

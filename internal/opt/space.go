@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"refocus/internal/arch"
 )
@@ -12,6 +13,20 @@ import (
 type grid struct {
 	base arch.SystemConfig
 	axes [NumAxes][]int
+
+	mu     sync.Mutex
+	points map[Candidate]*gridPoint // cells materialized so far
+}
+
+// gridPoint is one cell's design point, materialized once however many
+// candidates revisit the cell.
+type gridPoint struct {
+	once sync.Once
+	cfg  arch.SystemConfig
+	hash string
+	// invalid is config's refusal of the cell; hashErr a failure to hash
+	// a valid config.
+	invalid, hashErr error
 }
 
 // newGrid resolves the spec's base config and axis lists. Call on the
@@ -22,8 +37,9 @@ func newGrid(s Spec) (*grid, error) {
 		return nil, err
 	}
 	return &grid{
-		base: base,
-		axes: [NumAxes][]int{s.Space.M, s.Space.NRFCU, s.Space.NLambda, s.Space.Reuses},
+		base:   base,
+		axes:   [NumAxes][]int{s.Space.M, s.Space.NRFCU, s.Space.NLambda, s.Space.Reuses},
+		points: make(map[Candidate]*gridPoint),
 	}, nil
 }
 
@@ -72,6 +88,25 @@ func (g *grid) config(c Candidate) (arch.SystemConfig, error) {
 		return arch.SystemConfig{}, err
 	}
 	return cfg, nil
+}
+
+// point returns candidate c's design point and config hash, computing
+// them on the cell's first visit. Safe for concurrent use.
+func (g *grid) point(c Candidate) *gridPoint {
+	c = g.clamp(c)
+	g.mu.Lock()
+	p, ok := g.points[c]
+	if !ok {
+		p = &gridPoint{}
+		g.points[c] = p
+	}
+	g.mu.Unlock()
+	p.once.Do(func() {
+		if p.cfg, p.invalid = g.config(c); p.invalid == nil {
+			p.hash, p.hashErr = arch.ConfigHash(p.cfg)
+		}
+	})
+	return p
 }
 
 // random draws a uniform candidate.

@@ -52,6 +52,9 @@ type ProposalContext struct {
 	History []CandidateResult
 
 	grid *grid
+	// ranker is the run's NSGA-II ranker: it remembers the history it
+	// last ranked, so each generation only classifies its new records.
+	ranker *ranker
 }
 
 // Random draws a uniform candidate from the grid.

@@ -50,8 +50,8 @@ func (e *endpointMetrics) observe(d time.Duration, status int) {
 // two views of the same instruments: the historical JSON snapshot
 // (back-compat, byte-identical schema) and the Prometheus text
 // exposition. Per-endpoint request counts and latency histograms ride
-// the "endpoint" label; the pipeline stages (queue wait, cache lookup,
-// evaluation, response encode) each get their own histogram.
+// the "endpoint" label; the pipeline stages (resolve, queue wait, cache
+// lookup, evaluation, response encode) each get their own histogram.
 type Metrics struct {
 	reg *obs.Registry
 
@@ -77,6 +77,7 @@ type Metrics struct {
 	optResumed  *obs.Counter
 	optActive   atomic.Int64
 
+	resolve     *obs.Histogram
 	queueWait   *obs.Histogram
 	cacheLookup *obs.Histogram
 	evaluate    *obs.Histogram
@@ -104,6 +105,7 @@ func newMetrics(cache ResultStore) *Metrics {
 		optSearches:     reg.Counter("refocus_optimize_searches_total", "Design-space searches started on this process (resumed searches count again).", nil),
 		optPoints:       reg.Counter("refocus_optimize_points_total", "Design-space candidate points evaluated by this process.", nil),
 		optResumed:      reg.Counter("refocus_optimize_points_resumed_total", "Design-space candidate points recovered from checkpoints instead of recomputed.", nil),
+		resolve:         reg.Histogram("refocus_resolve_seconds", "Time spent resolving a request to its design point, fault set and networks, hashes included.", nil, obs.FineBuckets),
 		queueWait:       reg.Histogram("refocus_queue_wait_seconds", "Time requests spent waiting for a worker slot.", nil, obs.FineBuckets),
 		cacheLookup:     reg.Histogram("refocus_cache_lookup_seconds", "Time spent probing the result cache per request.", nil, obs.FineBuckets),
 		evaluate:        reg.Histogram("refocus_evaluate_seconds", "Time spent in design-point evaluation per request that reached the worker pool.", nil, obs.DefBuckets),

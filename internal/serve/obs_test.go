@@ -120,6 +120,30 @@ func TestPrometheusExpositionFormat(t *testing.T) {
 	}
 }
 
+// TestResolveStageObservedOncePerRequest: every evaluate request, hit
+// or miss, observes the resolve stage exactly once, next to the stage
+// families that were already exposed.
+func TestResolveStageObservedOncePerRequest(t *testing.T) {
+	s, url := testServer(t, Config{})
+	for want := int64(1); want <= 2; want++ { // a miss, then a hit
+		if status, body := post(t, url+"/v1/evaluate", `{"Preset": "fb", "Network": "all"}`); status != http.StatusOK {
+			t.Fatalf("evaluate: %d %s", status, body)
+		}
+		if got := s.metrics.resolve.Count(); got != want {
+			t.Fatalf("after request %d the resolve stage observed %d times", want, got)
+		}
+	}
+	body := scrapeProm(t, url)
+	if !strings.Contains(body, "\nrefocus_resolve_seconds_count 2\n") {
+		t.Errorf("exposition lacks refocus_resolve_seconds_count 2:\n%s", body)
+	}
+	for _, stage := range []string{"resolve", "cache_lookup", "queue_wait", "evaluate", "encode"} {
+		if !strings.Contains(body, "# TYPE refocus_"+stage+"_seconds histogram\n") {
+			t.Errorf("exposition lacks the %s stage histogram", stage)
+		}
+	}
+}
+
 // TestMetricsJSONSchemaFrozen pins the JSON /metrics payload to its
 // pre-Prometheus schema: exactly the historical top-level keys, with the
 // historical nested shapes — dashboards and the CI e2e jobs parse these

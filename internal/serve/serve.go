@@ -572,11 +572,14 @@ func resolveRequestFaults(req EvaluateRequest, cfg arch.SystemConfig) (*faults.F
 // resolve turns a request into the point it names: the validated config
 // and its hash, the fault set, and the networks with their content
 // hashes. Hashing happens here, once per request, under the
-// serve.resolve span; a request the pipeline refuses is a 400 (a 422 for
-// an inline spec past the limits).
+// serve.resolve span and the refocus_resolve_seconds stage timer; a
+// request the pipeline refuses is a 400 (a 422 for an inline spec past
+// the limits).
 func (s *Server) resolve(ctx context.Context, req EvaluateRequest) (sim.Point, error) {
 	span := obs.StartSpan(ctx, "serve.resolve")
 	defer span.End()
+	start := time.Now()
+	defer func() { s.metrics.resolve.Observe(time.Since(start).Seconds()) }()
 	cfg, err := resolveRequestConfig(req)
 	if err != nil {
 		return sim.Point{}, BadRequest(err)
